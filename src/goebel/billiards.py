@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError, InconsistentConstraints, NoWitness
-from .modarith import QrTable, is_prime
+from .modarith import QrTable, check_qualifying_prime, is_prime, qualifying_primes
 from .reduced import ReducedTrace
 
 
@@ -323,8 +323,7 @@ def verify_nonmultiplicativity(p: int) -> list[Witness]:
     sequence.  Raises NoWitness on any failure, which would contradict the
     middle-block theorem and therefore signals a bug.
     """
-    if p % 4 != 1 or p < 13 or not is_prime(p):
-        raise DomainError(f"expected a prime p = 1 (mod 4), p >= 13; got {p}")
+    check_qualifying_prime(p)
     bits = QrTable(p).bits
     half = (p - 1) // 2
     witnesses = []
@@ -347,10 +346,9 @@ def verify_nonmultiplicativity(p: int) -> list[Witness]:
 
 def verify_range(p_min: int, p_max: int, workers: int = 1) -> list[Witness]:
     """verify_nonmultiplicativity over all qualifying primes in [p_min, p_max]."""
-    from .modarith import primes_in_range
     from .parallel import pmap
 
-    ps = [p for p in primes_in_range(max(p_min, 13), p_max) if p % 4 == 1]
+    ps = qualifying_primes(p_min, p_max)
     out = []
     for ws in pmap(verify_nonmultiplicativity, ps, workers=workers, chunksize=4):
         out.extend(ws)

@@ -85,23 +85,33 @@ def _load_nk_cache(path) -> dict:
         return cached
     with open(path, "r", encoding="ascii") as fh:
         next(fh, None)
-        for line in fh:
-            k_s, l_s, n_s, status, limit_s = line.strip().split(",")
-            n = int(n_s) if n_s else None
-            cached[int(k_s)] = exact.NkResult(
-                k=int(k_s), l=int(l_s), n=n, limit=int(limit_s)
-            )
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                k_s, l_s, n_s, status, limit_s = line.strip().split(",")
+                n = int(n_s) if n_s else None
+                r = exact.NkResult(k=int(k_s), l=int(l_s), n=n, limit=int(limit_s))
+            except ValueError:
+                raise GoebelError(f"damaged cache {path}, line {lineno}") from None
+            cached[r.k] = r
     return cached
 
 
 def _save_nk_cache(path, cached: dict) -> None:
+    # write a sibling file and rename it over the cache, so an interrupted
+    # run leaves either the old cache or the new one, never a torn line
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_CACHE_HEADER + "\n")
-        for k in sorted(cached):
-            r = cached[k]
-            n = "" if r.n is None else str(r.n)
-            fh.write(f"{r.k},{r.l},{n},{r.status},{r.limit}\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(_CACHE_HEADER + "\n")
+            for k in sorted(cached):
+                r = cached[k]
+                n = "" if r.n is None else str(r.n)
+                fh.write(f"{r.k},{r.l},{n},{r.status},{r.limit}\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def cmd_exact(args) -> int:
@@ -120,8 +130,10 @@ def cmd_exact(args) -> int:
         _save_nk_cache(path, cached)
     rows = []
     for k in sorted(set(ks)):
-        r = cached[k]
-        rows.append((k, args.l, r.n, "exceeded" if r.exceeded else "exact"))
+        n = cached[k].n
+        if n is not None and n > args.limit:
+            n = None  # cached from a run with a larger limit
+        rows.append((k, args.l, n, "exceeded" if n is None else "exact"))
     write_rows(args.output, ["k", "l", "N", "status"], rows, args.format)
     return 0
 
@@ -131,7 +143,8 @@ def cmd_exact(args) -> int:
 def _read_dataset(path) -> list[tuple[int, int, int | None]]:
     rows = []
     with open(path, "r", encoding="ascii") as fh:
-        next(fh)
+        if next(fh, None) is None:
+            raise GoebelError(f"empty dataset {path}: no header line")
         for line in fh:
             parts = line.strip().split(",")
             if len(parts) < 4:
@@ -335,6 +348,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "command", None) == "jp" and args.classify is None and args.p_max is None:
         ap.error("jp requires --p-max or --classify")
+    if getattr(args, "mean_mod", None) is not None and args.mean_mod < 1:
+        ap.error("--mean-mod requires D >= 1")
     try:
         return args.fn(args)
     except GoebelError as exc:

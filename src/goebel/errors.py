@@ -5,10 +5,6 @@ class GoebelError(Exception):
     """Base class for all library errors."""
 
 
-class NotInvertible(GoebelError):
-    """Raised when a modular inverse does not exist (gcd(x, m) > 1)."""
-
-
 class DomainError(GoebelError):
     """Raised when an argument is outside an operation's documented domain."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
-from .modarith import cumulative_product, invmod, powmod
+from .modarith import cumulative_product
 
 # Covers the largest breakdown point known for k <= 10^7 (9011) with slack.
 DEFAULT_N_LIMIT = 12000
@@ -71,12 +71,12 @@ def goebel_proceed(state: GobelState, k: int):
     (mod d) and the gcd that failed to divide it.
     """
     n, g, d = state.n, state.g, state.d
-    g_mult = n * g + powmod(g, k, d)
+    g_mult = n * g + pow(g, k, d)
     m_gcd = gcd(d, n + 1)
     if g_mult % m_gcd:
         return Break(residue=g_mult % d, m_gcd=m_gcd)
     d_next = d // m_gcd
-    g_next = g_mult // m_gcd * invmod((n + 1) // m_gcd, d_next) % d_next
+    g_next = g_mult // m_gcd * pow((n + 1) // m_gcd, -1, d_next) % d_next
     return GobelState(n=n + 1, g=g_next, d=d_next)
 
 
@@ -111,12 +111,12 @@ def exact_N(k: int, l: int, n_limit: int = DEFAULT_N_LIMIT) -> NkResult:
 
     Scans n_max upward with no skipping, so a break during the run for
     n_max can only occur at its final step: integrality below n_max was
-    already established by the previous runs.  l in {0, 1} gives the
+    already established by the previous runs.  l in {0, 1} and k = 1 give
     constant sequences, which never break.
     """
     if k < 1 or l < 0 or n_limit < 2:
         raise DomainError(f"exact_N requires k >= 1, l >= 0, n_limit >= 2; got {(k, l, n_limit)}")
-    if l in (0, 1):
+    if l in (0, 1) or k == 1:
         return NkResult(k=k, l=l, n=None, limit=n_limit)
     for n_max in range(2, n_limit + 1):
         report = run_once(k, l, n_max)

@@ -1,9 +1,9 @@
 """Modular arithmetic kernel.
 
-Factorization by trial division, p-adic valuations of factorials, modular
-exponentiation and inversion, and Legendre symbols with two interchangeable
-backends (Euler's criterion for single queries, a quadratic-residue bitmap
-for bulk scans).
+Factorization by trial division, p-adic valuations of factorials, the
+prime-domain checks shared by the other modules, and Legendre symbols with
+two interchangeable backends (Euler's criterion for single queries, a
+quadratic-residue bitmap for bulk scans).
 
 All functions are pure; the bitmap tables are immutable after construction
 and safe to share across worker processes.
@@ -12,7 +12,7 @@ and safe to share across worker processes.
 import math
 from bisect import bisect_right
 
-from .errors import DomainError, NotInvertible
+from .errors import DomainError
 
 DEFAULT_PRIME_BOUND = 10 ** 6
 
@@ -70,6 +70,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_odd_prime(p: int) -> None:
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise DomainError(f"expected an odd prime, got {p}")
+
+
+def check_qualifying_prime(p: int) -> None:
+    """Require a prime p = 1 (mod 4), p >= 13: the primes with a middle block J_p."""
+    if p < 13 or p % 4 != 1 or not is_prime(p):
+        raise DomainError(f"expected a prime p = 1 (mod 4), p >= 13; got {p}")
+
+
+def qualifying_primes(lo: int, hi: int) -> list[int]:
+    """The primes p = 1 (mod 4), p >= 13, in [lo, hi], ascending."""
+    return [p for p in primes_in_range(max(lo, 13), hi) if p % 4 == 1]
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n as ascending (prime, exponent) pairs.
 
@@ -120,33 +136,13 @@ def cumulative_product(n: int) -> int:
     return P
 
 
-def powmod(x: int, y: int, m: int) -> int:
-    """x**y mod m by binary exponentiation (never via full exponentiation)."""
-    if m < 1:
-        raise DomainError(f"powmod requires modulus >= 1, got {m}")
-    if y < 0:
-        raise DomainError("powmod requires a non-negative exponent; use invmod")
-    return pow(x, y, m)
-
-
-def invmod(x: int, m: int) -> int:
-    """y with x*y == 1 (mod m), 0 <= y < m.  Raises NotInvertible."""
-    if m < 1:
-        raise DomainError(f"invmod requires modulus >= 1, got {m}")
-    try:
-        return pow(x, -1, m)
-    except ValueError:
-        raise NotInvertible(f"{x} is not invertible modulo {m}") from None
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion.
 
     0 iff p divides a, +1 iff a is a nonzero quadratic residue mod p,
     -1 otherwise.
     """
-    if p < 3 or p % 2 == 0:
-        raise DomainError(f"legendre requires an odd prime, got {p}")
+    check_odd_prime(p)
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
 
@@ -161,8 +157,7 @@ class QrTable:
     __slots__ = ("p", "bits")
 
     def __init__(self, p: int):
-        if p < 3 or p % 2 == 0:
-            raise DomainError(f"QrTable requires an odd prime, got {p}")
+        check_odd_prime(p)
         self.p = p
         bits = bytearray(p)
         for x in range(1, (p + 1) // 2):

@@ -1,11 +1,6 @@
 """Process-pool helper for embarrassingly parallel prime and k ranges."""
 
-import os
 from concurrent.futures import ProcessPoolExecutor
-
-
-def default_workers() -> int:
-    return os.cpu_count() or 1
 
 
 def pmap(fn, items, workers: int = 1, chunksize: int = 1) -> list:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .modarith import QrTable, is_prime, primes_in_range
+from .modarith import QrTable, check_odd_prime, check_qualifying_prime, qualifying_primes
 
 
 class Classification(Enum):
@@ -47,8 +47,7 @@ class JpSummary:
 
 
 def _check_start(p: int, l: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise DomainError(f"expected an odd prime, got {p}")
+    check_odd_prime(p)
     if not 0 <= l <= p - 1:
         raise DomainError(f"l must be in [0, {p - 1}], got {l}")
 
@@ -115,8 +114,7 @@ def compute_jp(p: int) -> JpSummary:
     not absorbed at 0, l_R the least even l absorbed at p.  Costs about
     2 log2(p/2) walks.
     """
-    if not is_prime(p) or p % 4 != 1 or p < 13:
-        raise DomainError(f"compute_jp requires a prime p = 1 (mod 4), p >= 13; got {p}")
+    check_qualifying_prime(p)
     bits = QrTable(p).bits
     l_L = _least_even_with(lambda l: final_value(p, l, bits) != 0, p)
     l_R = _least_even_with(lambda l: final_value(p, l, bits) == p, p)
@@ -125,8 +123,7 @@ def compute_jp(p: int) -> JpSummary:
 
 def compute_jp_linear(p: int) -> JpSummary:
     """Linear-scan reference for compute_jp (oracle; O(p) walks)."""
-    if not is_prime(p) or p % 4 != 1 or p < 13:
-        raise DomainError(f"compute_jp requires a prime p = 1 (mod 4), p >= 13; got {p}")
+    check_qualifying_prime(p)
     bits = QrTable(p).bits
     finals = {l: final_value(p, l, bits) for l in range(0, p, 2)}
     l_L = min(l for l, v in finals.items() if v != 0)
@@ -148,8 +145,7 @@ def scan_two_in_jp(p_max: int, workers: int = 1) -> list[int]:
 
     if p_max < 13:
         raise DomainError(f"scan_two_in_jp requires p_max >= 13, got {p_max}")
-    candidates = [p for p in primes_in_range(13, p_max) if p % 4 == 1]
-    hits = pmap(_two_in_jp_task, candidates, workers=workers, chunksize=64)
+    hits = pmap(_two_in_jp_task, qualifying_primes(13, p_max), workers=workers, chunksize=64)
     return [p for p in hits if p is not None]
 
 
@@ -157,12 +153,11 @@ def jp_summaries(p_min: int, p_max: int, workers: int = 1) -> list[JpSummary]:
     """compute_jp for every qualifying prime in [max(p_min, 13), p_max], ascending."""
     from .parallel import pmap
 
-    ps = [p for p in primes_in_range(max(p_min, 13), p_max) if p % 4 == 1]
-    return pmap(compute_jp, ps, workers=workers, chunksize=8)
+    return pmap(compute_jp, qualifying_primes(p_min, p_max), workers=workers, chunksize=8)
 
 
 def format_ratio(count: int, p: int) -> str:
-    """count/p with 6 decimal digits, round-half-even."""
+    """count/p with 6 decimal digits, as Python formats the float count / p."""
     return f"{count / p:.6f}"
 
 

@@ -2,10 +2,10 @@
 
 The non-integrality test at an odd prime p depends on k only through
 k mod (p-1), so one bad residue class eliminates a whole arithmetic
-progression of k values.  Tables of bad classes are built either by a
-scalar reference loop or by a vectorized sweep over all exponent classes
-at once (discrete logs against a primitive root); both backends agree and
-are tested against each other.
+progression of k values.  Tables of bad classes come from one vectorized
+trace that runs over all exponent classes, or all start values, at once
+(discrete logs against a primitive root).  The scalar prime_trace_mod_p
+is the reference the tests compare it against.
 
 Exponent-class convention: table entries are labeled by a in [0, p-2].
 For callers with actual k >= 1 the class a = 0 stands for k = p-1,
@@ -20,16 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .modarith import factorize, primes_up_to
-
-_VECTOR_MIN_P = 64
-
-
-def _check_odd_prime(p: int) -> None:
-    from .modarith import is_prime
-
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise DomainError(f"expected an odd prime, got {p}")
+from .modarith import check_odd_prime, factorize, primes_in_range
 
 
 def prime_trace_mod_p(k_res: int, l_res: int, p: int) -> int:
@@ -40,7 +31,7 @@ def prime_trace_mod_p(k_res: int, l_res: int, p: int) -> int:
     means g(p) keeps p out of its denominator.  k_res is used literally;
     see the module docstring for the class-0 convention.
     """
-    _check_odd_prime(p)
+    check_odd_prime(p)
     if not 0 <= l_res < p:
         raise DomainError(f"l_res must be in [0, {p - 1}], got {l_res}")
     u = l_res
@@ -82,41 +73,25 @@ def _prime_ctx(p: int):
     return rpow, dlog, inv
 
 
-def _final_step(p, n, U, T, inv):
-    if n < p - 1:
-        return (n * U + T) * inv[n + 1] % p, None
-    return U, ((p - 1) * U + T) % p
+def _trace(p: int, U, E) -> np.ndarray:
+    """prime_trace_mod_p for start values U against exponents E, broadcast.
 
-
-def _trace_all_classes(p: int, l_res: int) -> np.ndarray:
-    """Trace for every exponent class a in [0, p-2] at once (class 0 -> p-1)."""
+    E holds exponents k >= 1 or their classes mod p-1 (class 0 is evaluated
+    as exponent p-1).  Powers come from the discrete-log tables; the
+    largest intermediate is (p-1)^3, which must fit in int64.
+    """
+    if (p - 1) ** 3 > np.iinfo(np.int64).max:
+        raise DomainError(f"the vectorized trace overflows int64 for p = {p} > 2^21")
     rpow, dlog, inv = _prime_ctx(p)
-    E = np.arange(p - 1, dtype=np.int64)
-    E[0] = p - 1
-    U = np.full(p - 1, l_res, dtype=np.int64)
-    for n in range(1, p):
-        T = np.where(U == 0, 0, rpow[dlog[U] * E % (p - 1)])
-        U, out = _final_step(p, n, U, T, inv)
-        if out is not None:
-            return out
-    raise AssertionError("unreachable")
+    E = np.asarray(E, dtype=np.int64) % (p - 1)
+    U = np.asarray(U, dtype=np.int64)
 
+    def power(U):
+        return np.where(U == 0, 0, rpow[dlog[U] * E % (p - 1)])
 
-def _trace_all_l(p: int, exponent: int) -> np.ndarray:
-    """Trace for every start value l in [0, p-1] at a fixed exponent >= 1."""
-    if exponent < 1:
-        raise DomainError("vectorized trace requires exponent >= 1")
-    rpow, dlog, inv = _prime_ctx(p)
-    e = exponent % (p - 1)
-    if e == 0:
-        e = p - 1
-    U = np.arange(p, dtype=np.int64)
-    for n in range(1, p):
-        T = np.where(U == 0, 0, rpow[dlog[U] * e % (p - 1)])
-        U, out = _final_step(p, n, U, T, inv)
-        if out is not None:
-            return out
-    raise AssertionError("unreachable")
+    for n in range(1, p - 1):
+        U = (n * U + power(U)) * inv[n + 1] % p
+    return ((p - 1) * U + power(U)) % p
 
 
 @dataclass(frozen=True)
@@ -132,21 +107,11 @@ class BadResidueTable:
     bad: tuple[int, ...]
 
 
-def bad_residues(p: int, l: int, backend: str = "auto") -> BadResidueTable:
-    _check_odd_prime(p)
+def bad_residues(p: int, l: int) -> BadResidueTable:
+    check_odd_prime(p)
     l_res = l % p
-    if backend == "auto":
-        backend = "vector" if p >= _VECTOR_MIN_P else "scalar"
-    if backend == "vector":
-        traces = _trace_all_classes(p, l_res)
-        bad = tuple(int(a) for a in np.nonzero(traces)[0])
-    elif backend == "scalar":
-        bad = tuple(
-            a for a in range(p - 1) if prime_trace_mod_p(class_exponent(a, p), l_res, p) != 0
-        )
-    else:
-        raise DomainError(f"unknown backend {backend!r}")
-    return BadResidueTable(p=p, l=l_res, bad=bad)
+    traces = _trace(p, l_res, np.arange(p - 1))
+    return BadResidueTable(p=p, l=l_res, bad=tuple(int(a) for a in np.nonzero(traces)[0]))
 
 
 @dataclass(frozen=True)
@@ -167,7 +132,7 @@ def sieve_tables(p_max: int, l: int, tables=None, workers: int = 1) -> dict:
     from .parallel import pmap
 
     tables = dict(tables) if tables else {}
-    todo = [(p, l % p) for p in primes_up_to(p_max) if p >= 3 and (p, l % p) not in tables]
+    todo = [(p, l % p) for p in primes_in_range(3, p_max) if (p, l % p) not in tables]
     for t in pmap(_table_task, todo, workers=workers):
         tables[(t.p, t.l)] = t
     return tables
@@ -188,7 +153,7 @@ def sieve_range(
     tables = sieve_tables(p_max, l, tables, workers=workers)
     size = k_hi - k_lo + 1
     marks = bytearray(size)
-    primes = [p for p in primes_up_to(p_max) if p >= 3]
+    primes = primes_in_range(3, p_max)
     for p in primes:
         step = p - 1
         for a in tables[(p, l % p)].bad:
@@ -202,9 +167,7 @@ def sieve_range(
 def smallest_sieving_prime(k: int, l: int, p_max: int, tables=None) -> int | None:
     """Least odd prime <= p_max whose bad table covers k, or None."""
     tables = sieve_tables(p_max, l, tables)
-    for p in primes_up_to(p_max):
-        if p < 3:
-            continue
+    for p in primes_in_range(3, p_max):
         if k % (p - 1) in tables[(p, l % p)].bad:
             return p
     return None
@@ -216,12 +179,11 @@ def grid_scan(p: int) -> list[tuple[int, int]]:
     Rows are residue classes of actual k (class 0 evaluated at exponent
     p-1), columns are start values mod p.
     """
-    _check_odd_prime(p)
+    check_odd_prime(p)
     pairs = []
     for a in range(p - 1):
-        traces = _trace_all_l(p, class_exponent(a, p))
+        traces = _trace(p, np.arange(p), a)
         pairs.extend((a, int(l)) for l in np.nonzero(traces)[0])
-    pairs.sort()
     return pairs
 
 

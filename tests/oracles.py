@@ -55,16 +55,23 @@ def rational_trace_at_p(terms, p: int) -> int | None:
 def plocal_trace(k: int, l: int, p: int) -> int:
     """p*g(p) mod p by exact arithmetic in the integers localized at p.
 
-    Uses the literal exponent k (no reduction mod p-1): below p every
-    divisor is a unit, so the residue bookkeeping is exact.
+    Carries g(n) = num/den as a pair of residues mod p through the defining
+    recurrence g(n+1) = g(n) (n + g(n)^(k-1)) / (n+1), with the literal
+    exponent k.  Below p every denominator is a unit, so den stays nonzero
+    mod p; it is inverted once, by Fermat, at the end.
     """
-    u = l % p
-    for n in range(1, p - 1):
-        u = (n * u + pow(u, k, p)) * pow(n + 1, -1, p) % p
-    return ((p - 1) * u + pow(u, k, p)) % p
+    num, den = l % p, 1
+    for n in range(1, p):
+        num_pow = naive_power_mod(num, k - 1, p)
+        den_pow = naive_power_mod(den, k - 1, p)
+        num = num * (n * den_pow + num_pow) % p
+        den = den * den_pow % p
+        if n + 1 < p:  # at n = p-1 the division by p is what p*g(p) leaves out
+            den = den * (n + 1) % p
+    return num * naive_power_mod(den, p - 2, p) % p
 
 
-def naive_powmod(x: int, y: int, m: int) -> int:
+def naive_power_mod(x: int, y: int, m: int) -> int:
     r = 1 % m
     for _ in range(y):
         r = r * x % m

@@ -74,6 +74,50 @@ def test_exact_exceeded_row_and_cache_limit_upgrade(tmp_path):
     assert out.read_bytes() == b"k,l,N,status\n2,2,43,exact\n"
 
 
+def test_exact_cached_N_above_limit_renders_exceeded(tmp_path):
+    out = tmp_path / "nk.csv"
+    cache = tmp_path / "cache"
+    for limit in ("300", "100"):
+        assert run_cli(
+            "exact", "--k", "5", "--limit", limit, "--cache-dir", str(cache), "-o", str(out)
+        ) == 0
+    assert out.read_bytes() == b"k,l,N,status\n5,2,,exceeded\n"
+    assert run_cli(
+        "exact", "--k", "5", "--limit", "100", "--no-cache", "-o", str(tmp_path / "cold.csv")
+    ) == 0
+    assert (tmp_path / "cold.csv").read_bytes() == out.read_bytes()
+
+
+def test_exact_damaged_cache_is_an_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "nk_l2.csv").write_text("k,l,N,status,limit\n2,2,4\n", encoding="ascii")
+    assert run_cli("exact", "--k", "2", "--limit", "50", "--cache-dir", str(cache)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "nk_l2.csv" in err[0]
+
+
+def test_exact_cache_is_replaced_not_rewritten(tmp_path, monkeypatch):
+    import goebel.cli
+
+    cache = tmp_path / "cache"
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append((os.path.dirname(src), dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(goebel.cli.os, "replace", recording_replace)
+    assert run_cli(
+        "exact", "--k", "2", "--limit", "50", "--cache-dir", str(cache),
+        "-o", str(tmp_path / "nk.csv"),
+    ) == 0
+    assert replaced == [(str(cache), str(cache / "nk_l2.csv"))]
+    assert os.listdir(cache) == ["nk_l2.csv"]
+    assert (cache / "nk_l2.csv").read_text() == "k,l,N,status,limit\n2,2,43,exact,50\n"
+
+
 def test_exact_named_spot_values(tmp_path):
     out = tmp_path / "spot.csv"
     for k, n in ((142, 25), (306, 34)):
@@ -161,6 +205,23 @@ def test_stats_empty_class_mean_absent(tmp_path):
     out = tmp_path / "m.csv"
     assert run_cli("stats", "--dataset", str(data), "--mean-mod", "3", "-o", str(out)) == 0
     assert out.read_text().splitlines()[1:] == ["0,0,", "1,1,97.000000", "2,0,"]
+
+
+def test_stats_empty_dataset_is_an_error(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("", encoding="ascii")
+    assert run_cli("stats", "--dataset", str(data), "--records") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "empty.csv" in err[0]
+
+
+def test_stats_mean_mod_rejects_nonpositive_modulus(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("k,l,N,status\n4,2,97,exact\n", encoding="ascii")
+    for d in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("stats", "--dataset", str(data), "--mean-mod", d)
+        assert exc.value.code == 2
 
 
 def test_sieve_cli_with_tables_and_spot_check(tmp_path, capsys):

@@ -88,6 +88,18 @@ def test_exact_N_trivial_starts_exceed_immediately():
         assert r.exceeded and r.n is None and r.status == "exceeded"
 
 
+def test_exact_N_k1_is_constant_and_exceeds_immediately(monkeypatch):
+    import goebel.exact
+
+    def no_scan(*args):
+        raise AssertionError("exact_N ran a scan for the constant k = 1 sequence")
+
+    monkeypatch.setattr(goebel.exact, "run_once", no_scan)
+    r = exact_N(1, 2, 12000)
+    assert r.exceeded and r.limit == 12000
+    assert goebel_terms(1, 5, 30) == [5] * 30
+
+
 def test_exact_N_exceeded_at_limit():
     r = exact_N(2, 2, 42)
     assert r.exceeded and r.limit == 42

@@ -1,24 +1,21 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from goebel import (
-    NotInvertible,
     QrTable,
     cumulative_product,
     factorial_valuation,
     factorize,
-    invmod,
     is_prime,
     legendre,
-    powmod,
     primes_up_to,
 )
 from goebel.errors import DomainError
 
-from .oracles import factorial_factorization, naive_legendre, naive_powmod
+from .oracles import factorial_factorization, naive_legendre
 
 
 def test_factorize_examples():
@@ -87,55 +84,6 @@ def test_factorial_valuation():
     for n in (1, 5, 31, 100, 200):
         for p in (2, 3, 5, 7, 11, 97):
             assert factorial_valuation(n, p) == fac[n].get(p, 0), (n, p)
-
-
-def test_powmod_examples():
-    assert powmod(2, 10, 1000) == 24
-    assert powmod(123, 0, 17) == 1
-    assert powmod(5, 0, 1) == 0  # everything is 0 mod 1
-    assert powmod(7, 2039, 2039) == 7  # Fermat, 2039 prime
-
-
-def test_powmod_small_exhaustive():
-    for m in range(1, 25):
-        for x in range(0, 25):
-            for y in range(0, 25):
-                assert powmod(x, y, m) == naive_powmod(x, y, m), (x, y, m)
-
-
-@given(
-    st.integers(min_value=0, max_value=2 ** 10),
-    st.integers(min_value=0, max_value=2 ** 10),
-    st.integers(min_value=1, max_value=2 ** 10),
-)
-@settings(max_examples=300)
-def test_powmod_matches_naive(x, y, m):
-    assert powmod(x, y, m) == naive_powmod(x, y, m)
-
-
-def test_powmod_rejects_negative_exponent():
-    with pytest.raises(DomainError):
-        powmod(2, -1, 7)
-
-
-def test_invmod_examples():
-    assert invmod(1, 97) == 1
-    assert invmod(3, 43) == 29
-    assert 3 * 29 % 43 == 1
-    with pytest.raises(NotInvertible):
-        invmod(2, 4)
-
-
-@given(st.integers(min_value=1, max_value=10 ** 9), st.integers(min_value=2, max_value=10 ** 9))
-@settings(max_examples=300)
-def test_invmod_property(x, m):
-    if math.gcd(x, m) == 1:
-        y = invmod(x, m)
-        assert 0 <= y < m
-        assert x * y % m == 1
-    else:
-        with pytest.raises(NotInvertible):
-            invmod(x, m)
 
 
 def test_legendre_examples():

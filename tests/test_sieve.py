@@ -68,13 +68,30 @@ def test_bad_residues_known_tables():
 
 
 def test_bad_residues_backends_agree():
+    # the vectorized table against the scalar reference trace, class by class
     for p in primes_up_to(200):
         if p < 3:
             continue
         for l in (0, 1, 2, 3, p - 1):
-            vec = bad_residues(p, l, backend="vector")
-            sca = bad_residues(p, l, backend="scalar")
-            assert vec == sca, (p, l)
+            want = tuple(
+                a for a in range(p - 1) if prime_trace_mod_p(class_exponent(a, p), l % p, p)
+            )
+            assert bad_residues(p, l).bad == want, (p, l)
+
+
+def test_vector_trace_rejects_primes_that_overflow_int64():
+    # 2097169 is the first prime above 2^21, where (p-1)^3 no longer fits in
+    # int64; the check must come before the O(p) discrete-log tables are built
+    import numpy as np
+
+    from goebel.sieve import _prime_ctx, _trace
+
+    _prime_ctx.cache_clear()
+    with pytest.raises(DomainError):
+        _trace(2097169, 2, np.arange(3))
+    with pytest.raises(DomainError):
+        bad_residues(2097169, 2)
+    assert _prime_ctx.cache_info().currsize == 0
 
 
 def test_bad_residues_class_zero_uses_positive_exponent():
@@ -149,12 +166,12 @@ def test_grid_half_exponent_row_matches_walk_classification():
     import numpy as np
 
     from goebel import Classification, QrTable, classify_l
-    from goebel.sieve import _trace_all_l
+    from goebel.sieve import _trace
 
     for p in primes_up_to(500):
         if p < 3:
             continue
-        row = set(np.nonzero(_trace_all_l(p, (p - 1) // 2))[0].tolist())
+        row = set(np.nonzero(_trace(p, np.arange(p), (p - 1) // 2))[0].tolist())
         qr = QrTable(p)
         middles = {l for l in range(p) if classify_l(p, l, qr) is Classification.MIDDLE}
         assert row == middles, p
