@@ -13,6 +13,7 @@ import sys
 
 from . import billiards, exact, reduced, sieve
 from .errors import GoebelError
+from .fileio import replace_lines
 from .modarith import is_prime
 from .reduced import classify_l
 
@@ -83,7 +84,8 @@ def _load_nk_cache(path) -> dict:
     cached = {}
     if not os.path.exists(path):
         return cached
-    with open(path, "r", encoding="ascii") as fh:
+    # bytes outside ASCII decode to U+FFFD, so a damaged number fails int()
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         next(fh, None)
         for lineno, line in enumerate(fh, start=2):
             try:
@@ -97,21 +99,13 @@ def _load_nk_cache(path) -> dict:
 
 
 def _save_nk_cache(path, cached: dict) -> None:
-    # write a sibling file and rename it over the cache, so an interrupted
-    # run leaves either the old cache or the new one, never a torn line
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(_CACHE_HEADER + "\n")
-            for k in sorted(cached):
-                r = cached[k]
-                n = "" if r.n is None else str(r.n)
-                fh.write(f"{r.k},{r.l},{n},{r.status},{r.limit}\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    lines = [_CACHE_HEADER]
+    for k in sorted(cached):
+        r = cached[k]
+        n = "" if r.n is None else str(r.n)
+        lines.append(f"{r.k},{r.l},{n},{r.status},{r.limit}")
+    replace_lines(path, lines)
 
 
 def cmd_exact(args) -> int:
@@ -142,15 +136,19 @@ def cmd_exact(args) -> int:
 
 def _read_dataset(path) -> list[tuple[int, int, int | None]]:
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
+    # bytes outside ASCII decode to U+FFFD, so a damaged number fails int()
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         if next(fh, None) is None:
             raise GoebelError(f"empty dataset {path}: no header line")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) < 4:
                 continue
             k_s, l_s, n_s, status = parts[:4]
-            rows.append((int(k_s), int(l_s), int(n_s) if n_s else None))
+            try:
+                rows.append((int(k_s), int(l_s), int(n_s) if n_s else None))
+            except ValueError:
+                raise GoebelError(f"bad dataset row {path}, line {lineno}") from None
     rows.sort()
     return rows
 

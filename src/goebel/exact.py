@@ -2,15 +2,22 @@
 
 The sequence g(1) = l, (n+1) g(n+1) = g(n) (n + g(n)^(k-1)) stays rational;
 we want the first index where it leaves the integers.  Terms grow doubly
-exponentially, so the run tracks only the residue of g(n) modulo a shrinking
-modulus d, initialized to cumulative_product(n_max).  Dividing d by
-gcd(d, n+1) at each step removes, for every prime, either all of its
-presence in n+1 or all of its presence in d, so the remaining factor of
-n+1 is invertible modulo the new d and the residue update is exact.
+exponentially, so a run of length L tracks only the residue of g(n) modulo
+d = L!/n!.  While n+1 <= L, n+1 divides d, so the step from n to n+1 is a
+plain exact division: g(n+1) is non-integral exactly when n+1 does not
+divide h = n g(n) + g(n)^k mod d, and otherwise h/(n+1) is g(n+1) modulo
+the next modulus d/(n+1).  One run therefore finds the first break at any
+index <= L; exact_N doubles L from 64 up to its limit.
+
+goebel_proceed and run_once are the older shrinking-modulus run: its
+modulus starts at cumulative_product(n_max) and is divided by gcd(d, n+1)
+at each step, so only the break at index n_max itself is certain to show,
+and a scan needs one run per n_max.  The tests keep it as the reference
+that exact_N is checked against.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import factorial, gcd
 
 from .errors import DomainError
 from .modarith import cumulative_product
@@ -84,8 +91,9 @@ def run_once(k: int, l: int, n_max: int) -> BreakReport | None:
     """Run the recurrence for n = 1..n_max-1; None means no break detected.
 
     Equivalent to iterating goebel_proceed from (1, l mod P, P) with
-    P = cumulative_product(n_max), but with the loop inlined: this is the
-    innermost hot path of every exact scan.
+    P = cumulative_product(n_max), but with the loop inlined.  The scan of
+    run_once over n_max = 2, 3, ... is the reference exact_N is tested
+    against.
     """
     if k < 1 or l < 0 or n_max < 2:
         raise DomainError(f"run_once requires k >= 1, l >= 0, n_max >= 2; got {(k, l, n_max)}")
@@ -106,23 +114,43 @@ def run_once(k: int, l: int, n_max: int) -> BreakReport | None:
     return None
 
 
-def exact_N(k: int, l: int, n_limit: int = DEFAULT_N_LIMIT) -> NkResult:
-    """Smallest n_max in [2, n_limit] whose run breaks, else exceeded.
+def first_break(k: int, l: int, length: int) -> BreakReport | None:
+    """The first index in [2, length] where g leaves the integers, else None.
 
-    Scans n_max upward with no skipping, so a break during the run for
-    n_max can only occur at its final step: integrality below n_max was
-    already established by the previous runs.  l in {0, 1} and k = 1 give
+    One run under the modulus d = length!/n! (see the module docstring).
+    The report carries the breaking index as modulus_at_break and the
+    residue of n g(n) modulo it, as the final step of run_once(k, l, n) does.
+    """
+    d = factorial(length)
+    g = l % d
+    for n in range(1, length):
+        m = n + 1
+        g, r = divmod((n * g + pow(g, k, d)) % d, m)
+        if r:
+            return BreakReport(k=k, l=l, n_break=m, residue=r, modulus_at_break=m)
+        d //= m
+    return None
+
+
+def exact_N(k: int, l: int, n_limit: int = DEFAULT_N_LIMIT) -> NkResult:
+    """Smallest n in [2, n_limit] with g(n) not an integer, else exceeded.
+
+    Runs first_break at lengths 64, 128, ... capped at n_limit, so a break
+    at index N costs at most about 2N steps.  l in {0, 1} and k = 1 give
     constant sequences, which never break.
     """
     if k < 1 or l < 0 or n_limit < 2:
         raise DomainError(f"exact_N requires k >= 1, l >= 0, n_limit >= 2; got {(k, l, n_limit)}")
     if l in (0, 1) or k == 1:
         return NkResult(k=k, l=l, n=None, limit=n_limit)
-    for n_max in range(2, n_limit + 1):
-        report = run_once(k, l, n_max)
+    length = min(64, n_limit)
+    while True:
+        report = first_break(k, l, length)
         if report is not None:
-            return NkResult(k=k, l=l, n=n_max, limit=n_limit, report=report)
-    return NkResult(k=k, l=l, n=None, limit=n_limit)
+            return NkResult(k=k, l=l, n=report.n_break, limit=n_limit, report=report)
+        if length == n_limit:
+            return NkResult(k=k, l=l, n=None, limit=n_limit)
+        length = min(2 * length, n_limit)
 
 
 def _exact_task(args: tuple[int, int, int]) -> NkResult:

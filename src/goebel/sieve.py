@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GoebelError
+from .fileio import replace_lines
 from .modarith import check_odd_prime, factorize, primes_in_range
 
 
@@ -192,7 +193,9 @@ def format_table_line(table: BadResidueTable) -> str:
 
 
 def parse_table_line(line: str) -> BadResidueTable:
-    head, _, tail = line.strip().partition(":")
+    head, sep, tail = line.strip().partition(":")
+    if not sep:
+        raise ValueError(f"no ':' in table line {line!r}")
     p_s, _, l_s = head.partition(",")
     bad = tuple(int(a) for a in tail.split(";") if a)
     return BadResidueTable(p=int(p_s), l=int(l_s), bad=bad)
@@ -200,16 +203,18 @@ def parse_table_line(line: str) -> BadResidueTable:
 
 def write_sieve_tables(path, tables: dict) -> None:
     """One LF-terminated ASCII line per (p, l) table, ascending keys."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for key in sorted(tables):
-            fh.write(format_table_line(tables[key]) + "\n")
+    replace_lines(path, [format_table_line(tables[key]) for key in sorted(tables)])
 
 
 def read_sieve_tables(path) -> dict:
     tables = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+    # bytes outside ASCII decode to U+FFFD, so a damaged number fails int()
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                t = parse_table_line(line)
+                try:
+                    t = parse_table_line(line)
+                except ValueError:
+                    raise GoebelError(f"not a sieve tables file {path}, line {lineno}") from None
                 tables[(t.p, t.l)] = t
     return tables

@@ -91,10 +91,11 @@ def test_exact_cached_N_above_limit_renders_exceeded(tmp_path):
 def test_exact_damaged_cache_is_an_error(tmp_path, capsys):
     cache = tmp_path / "cache"
     cache.mkdir()
-    (cache / "nk_l2.csv").write_text("k,l,N,status,limit\n2,2,4\n", encoding="ascii")
-    assert run_cli("exact", "--k", "2", "--limit", "50", "--cache-dir", str(cache)) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "nk_l2.csv" in err[0]
+    for line in (b"2,2,4", b"2,2,\xff,exact,50"):
+        (cache / "nk_l2.csv").write_bytes(b"k,l,N,status,limit\n" + line + b"\n")
+        assert run_cli("exact", "--k", "2", "--limit", "50", "--cache-dir", str(cache)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "nk_l2.csv" in err[0]
 
 
 def test_exact_cache_is_replaced_not_rewritten(tmp_path, monkeypatch):
@@ -141,13 +142,29 @@ def test_exact_json_mirror(tmp_path):
 
 
 def test_exact_threads_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for path, threads in ((a, "1"), (b, "2")):
-        assert run_cli(
-            "exact", "--k", "2..12", "--limit", "300", "--no-cache",
-            "--threads", threads, "-o", str(path),
-        ) == 0
-    assert a.read_bytes() == b.read_bytes()
+    """Output bytes depend on the arguments alone: not on the cache or the worker count."""
+    args = ["exact", "--k", "2..12", "--limit", "300"]
+    runs = {
+        "no-cache-1": ["--no-cache", "--threads", "1"],
+        "no-cache-2": ["--no-cache", "--threads", "2"],
+        "cold-1": ["--cache-dir", str(tmp_path / "c1"), "--threads", "1"],
+        "warm-1": ["--cache-dir", str(tmp_path / "c1"), "--threads", "1"],
+        "cold-2": ["--cache-dir", str(tmp_path / "c2"), "--threads", "2"],
+        "warm-2": ["--cache-dir", str(tmp_path / "c2"), "--threads", "2"],
+    }
+    # a cache that already holds part of the range, from a run at a larger limit
+    assert run_cli(
+        "exact", "--k", "5..8", "--limit", "600", "--cache-dir", str(tmp_path / "c3"),
+        "-o", str(tmp_path / "seed.csv"),
+    ) == 0
+    runs["partly-warm-2"] = ["--cache-dir", str(tmp_path / "c3"), "--threads", "2"]
+    outputs = {}
+    for name, extra in runs.items():
+        path = tmp_path / f"{name}.csv"
+        assert run_cli(*args, *extra, "-o", str(path)) == 0
+        outputs[name] = path.read_bytes()
+    assert len(set(outputs.values())) == 1, outputs
+    assert outputs["cold-1"].count(b",exact\n") == 11
 
 
 def test_exact_cache_env_var(tmp_path, monkeypatch):
@@ -222,6 +239,48 @@ def test_stats_mean_mod_rejects_nonpositive_modulus(tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("stats", "--dataset", str(data), "--mean-mod", d)
         assert exc.value.code == 2
+
+
+def test_stats_bad_dataset_row_is_an_error(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    for row in (b"x,2,4,exact", b"\xff\xfe,2,4,exact"):
+        data.write_bytes(b"k,l,N,status\n4,2,97,exact\n" + row + b"\n")
+        assert run_cli("stats", "--dataset", str(data), "--records") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "bad.csv" in err[0] and "line 3" in err[0]
+
+
+def test_sieve_tables_file_of_another_kind_is_an_error(tmp_path, capsys):
+    tables = tmp_path / "nk.csv"
+    for body in (b"k,l,N,status\n2,2,43,exact\n", b"3,2:\n\xff\xfe\x00\x01\n"):
+        tables.write_bytes(body)
+        assert run_cli(
+            "sieve", "--k-lo", "2", "--k-hi", "100", "--p-max", "19", "--tables", str(tables),
+            "-o", str(tmp_path / "out.csv"),
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "nk.csv" in err[0]
+        assert tables.read_bytes() == body
+
+
+def test_sieve_tables_file_is_replaced_not_rewritten(tmp_path, monkeypatch):
+    tables = tmp_path / "tables.txt"
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append((os.path.dirname(src), str(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    assert run_cli(
+        "sieve", "--k-lo", "2", "--k-hi", "100", "--p-max", "7", "--tables", str(tables),
+        "-o", str(tmp_path / "out.csv"),
+    ) == 0
+    assert replaced == [(str(tmp_path), str(tables))]
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "tables.txt"]
+    assert tables.read_text() == "3,2:\n5,2:\n7,2:\n"
 
 
 def test_sieve_cli_with_tables_and_spot_check(tmp_path, capsys):

@@ -8,10 +8,12 @@ from goebel import (
     Break,
     BreakReport,
     GobelState,
+    bad_residues,
     cumulative_product,
     exact_N,
     exact_N_range,
     goebel_proceed,
+    primes_in_range,
     run_once,
 )
 from goebel.errors import DomainError
@@ -94,10 +96,45 @@ def test_exact_N_k1_is_constant_and_exceeds_immediately(monkeypatch):
     def no_scan(*args):
         raise AssertionError("exact_N ran a scan for the constant k = 1 sequence")
 
-    monkeypatch.setattr(goebel.exact, "run_once", no_scan)
+    monkeypatch.setattr(goebel.exact, "first_break", no_scan)
     r = exact_N(1, 2, 12000)
     assert r.exceeded and r.limit == 12000
     assert goebel_terms(1, 5, 30) == [5] * 30
+
+
+def _run_once_scan(k, l, n_limit):
+    """The reference scan: run_once for n_max = 2, 3, ..., first break wins."""
+    for n_max in range(2, n_limit + 1):
+        report = run_once(k, l, n_max)
+        if report is not None:
+            return report
+    return None
+
+
+def test_exact_N_matches_run_once_scan():
+    for n_limit in (2, 3, 10, 40, 70):
+        for k in range(1, 9):
+            for l in range(9):
+                want = _run_once_scan(k, l, n_limit)
+                got = exact_N(k, l, n_limit)
+                assert got.report == want, (k, l, n_limit)
+                assert got.n == (None if want is None else want.n_break), (k, l, n_limit)
+
+
+def test_exact_N_prime_breaks_match_bad_residue_tables():
+    """At a prime N(k, l) = q the class of k is bad at q; at no odd prime below N is it bad."""
+    n_limit = 300
+    prime_breaks = 0
+    for l in (2, 3, 4, 5):
+        bad = {q: set(bad_residues(q, l).bad) for q in primes_in_range(3, n_limit)}
+        for k in range(2, 81):
+            n = exact_N(k, l, n_limit).n
+            below = n if n is not None else n_limit + 1
+            assert not [q for q in bad if q < below and k % (q - 1) in bad[q]], (k, l, n)
+            if n in bad:
+                assert k % (n - 1) in bad[n], (k, l, n)
+                prime_breaks += 1
+    assert prime_breaks > 100
 
 
 def test_exact_N_exceeded_at_limit():
