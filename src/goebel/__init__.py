@@ -4,136 +4,30 @@ Exact breakdown points via a shrinking-modulus recurrence, residue-class
 sieving over k, the quadratic-residue reduced walks with their
 (l_L, l_R, J_p) decomposition, and the arithmetic-billiards sign sequences
 used to verify that the middle block is never empty.
+
+The package root exports what the acceptance suite and the README use;
+everything else is imported from its submodule.
 """
 
 from .billiards import (
-    BilliardPath,
-    SignSequence,
-    SymmetryReport,
-    Witness,
-    a_equals_b_consistency,
     billiard_path,
-    check_b_symmetries,
     construct_a,
     construct_b,
     empty_iff_conditions,
-    psi,
-    verify_range,
     verify_nonmultiplicativity,
-    zigzag,
+    verify_range,
 )
-from .errors import (
-    DomainError,
-    GoebelError,
-    InconsistentConstraints,
-    NoWitness,
-)
-from .exact import (
-    Break,
-    BreakReport,
-    DEFAULT_N_LIMIT,
-    GobelState,
-    NkResult,
-    exact_N,
-    exact_N_range,
-    goebel_proceed,
-    run_once,
-)
-from .modarith import (
-    QrTable,
-    cumulative_product,
-    factorial_valuation,
-    factorize,
-    is_prime,
-    legendre,
-    primes_in_range,
-    primes_up_to,
-)
-from .reduced import (
-    Classification,
-    JpSummary,
-    ReducedTrace,
-    classify_l,
-    compute_jp,
-    compute_jp_linear,
-    final_value,
-    jp_ratio_table,
-    jp_summaries,
-    reduced_trace,
-    scan_two_in_jp,
-)
+from .errors import DomainError, GoebelError
+from .exact import DEFAULT_N_LIMIT, exact_N, exact_N_range
+from .modarith import QrTable, primes_in_range
+from .reduced import Classification, classify_l, compute_jp, jp_summaries, scan_two_in_jp
 from .sieve import (
-    BadResidueTable,
-    SieveOutcome,
     bad_residues,
-    class_exponent,
     grid_scan,
     prime_trace_mod_p,
-    read_sieve_tables,
     sieve_range,
     sieve_tables,
     smallest_sieving_prime,
-    write_sieve_tables,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BadResidueTable",
-    "BilliardPath",
-    "Break",
-    "BreakReport",
-    "Classification",
-    "DEFAULT_N_LIMIT",
-    "DomainError",
-    "GobelState",
-    "GoebelError",
-    "InconsistentConstraints",
-    "JpSummary",
-    "NkResult",
-    "NoWitness",
-    "QrTable",
-    "ReducedTrace",
-    "SieveOutcome",
-    "SignSequence",
-    "SymmetryReport",
-    "Witness",
-    "a_equals_b_consistency",
-    "bad_residues",
-    "billiard_path",
-    "check_b_symmetries",
-    "class_exponent",
-    "classify_l",
-    "compute_jp",
-    "compute_jp_linear",
-    "construct_a",
-    "construct_b",
-    "cumulative_product",
-    "empty_iff_conditions",
-    "exact_N",
-    "exact_N_range",
-    "factorial_valuation",
-    "factorize",
-    "final_value",
-    "goebel_proceed",
-    "grid_scan",
-    "is_prime",
-    "jp_ratio_table",
-    "jp_summaries",
-    "legendre",
-    "prime_trace_mod_p",
-    "primes_in_range",
-    "primes_up_to",
-    "psi",
-    "read_sieve_tables",
-    "reduced_trace",
-    "run_once",
-    "scan_two_in_jp",
-    "sieve_range",
-    "sieve_tables",
-    "smallest_sieving_prime",
-    "verify_range",
-    "verify_nonmultiplicativity",
-    "write_sieve_tables",
-    "zigzag",
-]

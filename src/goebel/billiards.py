@@ -13,7 +13,6 @@ from math import gcd
 
 from .errors import DomainError, InconsistentConstraints, NoWitness
 from .modarith import QrTable, check_qualifying_prime, is_prime, qualifying_primes
-from .reduced import ReducedTrace
 
 
 @dataclass(frozen=True)
@@ -61,14 +60,6 @@ class Witness:
     m: int
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    l: int
-    s: int
-    passed: bool
-    failure: str | None = None
-
-
 def _check_pl(p: int, l: int) -> int:
     if p % 4 != 1 or not is_prime(p):
         raise DomainError(f"expected a prime p = 1 (mod 4), got {p}")
@@ -114,38 +105,13 @@ def billiard_path(p: int, l: int) -> BilliardPath:
     return BilliardPath(p=p, l=l, points=points, sigma=sigma, tau=tau, start=(0, c), end=(c, 0))
 
 
-def _on_board(p: int, l: int, c: int, point: tuple[int, int]) -> tuple[int, int] | None:
-    x, y = point
-    u, v = x + y - c, x - y + c
-    if not (0 <= u <= p - 2 * c and 0 <= v <= 2 * c):
-        return None
-    if u not in (0, p - 2 * c) and v not in (0, 2 * c):
-        return None
-    if (u, v) in ((0, 0), (0, 2 * c)):  # entry and exit corners are excluded
-        return None
-    return u, v
-
-
-def psi(p: int, l: int, point: tuple[int, int]) -> int:
-    """Sign assigned to a visited lattice point.
-
-    The wall x + y = c carries -1 when c = l+1 (near rectangle) and +1
-    when c = p-l-1 (far rectangle); every other wall carries the opposite.
-    """
-    c = _check_pl(p, l)
-    uv = _on_board(p, l, c, point)
-    if uv is None:
-        raise DomainError(f"{point} is not a boundary lattice point for (p={p}, l={l})")
-    on_start_wall = uv[0] == 0
-    wall_sign = -1 if c == l + 1 else 1
-    return wall_sign if on_start_wall else -wall_sign
-
-
 def construct_a(p: int, l: int) -> SignSequence:
     """The unique sequence with a(1) = 1 pinned by the billiard constraints.
 
     Propagates a(x) a(y) = psi(x, y) along the first half of the path,
-    which introduces each index in {1..(p-1)/2} exactly once; the free
+    where psi is the sign of the wall the point lies on: the wall x + y = c
+    carries -1 when c = l+1 and +1 when c = p-l-1, every other wall the
+    opposite.  The path introduces each index in {1..(p-1)/2} once; the free
     overall sign is fixed by a(1) = 1 and the upper half is filled by the
     mirror condition a(n) = a(p - n).  l = 0 bypasses the billiard: the
     sequence is identically +1.
@@ -239,53 +205,6 @@ def construct_b(l: int, s: int) -> SignSequence:
     return seq
 
 
-def check_b_symmetries(l: int, s: int) -> SymmetryReport:
-    """Finite check of the b-sequence symmetry identities over one period.
-
-    Covers the s <-> l-s flip (sign change exactly at multiples of l+1)
-    and the three shift identities it implies; returns the first
-    counterexample if any.
-    """
-    if l < 2:
-        raise DomainError(f"symmetry identities require l >= 2, got {l}")
-    b = construct_b(l, s)
-    flipped = construct_b(l, l - s)
-    L1 = l + 1
-
-    def fail(name, n):
-        return SymmetryReport(l=l, s=s, passed=False, failure=f"{name} at n={n}")
-
-    for n in range(1, L1 + 1):
-        want = -flipped.value(n) if n % L1 == 0 else flipped.value(n)
-        if b.value(n) != want:
-            return fail("s<->l-s flip", n)
-    for n in range(1, L1 + 1):
-        if n % L1 and (n + 2 * s + 1) % L1:
-            if b.value(n) != -b.value(n + 2 * s + 1):
-                return fail("shift by 2s+1", n)
-    if s < l // 2:
-        t = l // 2 - s
-        for n in range(1, L1 + 1):
-            if n % L1 and (n + 2 * t) % L1:
-                if b.value(n) != -b.value(n + 2 * t):
-                    return fail("shift by 2t", n)
-        for n in range(0, L1 + 1):
-            if (t - n) % L1 and (t + n) % L1:
-                if b.value(t - n) != b.value(t + n):
-                    return fail("reflection around t", n)
-    return SymmetryReport(l=l, s=s, passed=True)
-
-
-def a_equals_b_consistency(p: int, l: int) -> bool:
-    """Does a(p, l) equal the periodic extension of b(l, s), s = (p-1)/2 mod (l+1)?"""
-    _check_pl(p, l)
-    a = construct_a(p, l)
-    if l == 0:
-        return all(v == 1 for v in a.values)
-    b = construct_b(l, ((p - 1) // 2) % (l + 1))
-    return all(a.value(n) == b.value(n) for n in range(1, p))
-
-
 def empty_iff_conditions(p: int, l: int, qr: QrTable | None = None) -> tuple[bool, bool]:
     """The two Legendre-pattern conditions whose conjunction would collapse J_p.
 
@@ -297,23 +216,6 @@ def empty_iff_conditions(p: int, l: int, qr: QrTable | None = None) -> tuple[boo
     cond1 = all(bits[n] != bits[l + 1 - n] for n in range(1, l // 2 + 1))
     cond2 = all(bits[n] == bits[l + 1 + n] for n in range(1, p - l - 1))
     return cond1, cond2
-
-
-def zigzag(trace: ReducedTrace) -> bool:
-    """True iff the walk takes both an up step and a down step before absorption."""
-    up = down = False
-    values, p = trace.values, trace.p
-    for i in range(len(values) - 1):
-        g = values[i]
-        if g == 0 or g == p:
-            break
-        if values[i + 1] > g:
-            up = True
-        else:
-            down = True
-        if up and down:
-            return True
-    return up and down
 
 
 def verify_nonmultiplicativity(p: int) -> list[Witness]:

@@ -14,7 +14,7 @@ import sys
 from . import billiards, exact, reduced, sieve
 from .errors import GoebelError
 from .fileio import replace_lines
-from .modarith import is_prime
+from .modarith import QrTable, is_prime
 from .reduced import classify_l
 
 CACHE_ENV = "GOEBEL_CACHE"
@@ -141,11 +141,11 @@ def _read_dataset(path) -> list[tuple[int, int, int | None]]:
         if next(fh, None) is None:
             raise GoebelError(f"empty dataset {path}: no header line")
         for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) < 4:
+            if not line.strip():
                 continue
-            k_s, l_s, n_s, status = parts[:4]
             try:
+                # a row with fewer than four fields, as a torn write leaves, fails to unpack
+                k_s, l_s, n_s, _status = line.strip().split(",")[:4]
                 rows.append((int(k_s), int(l_s), int(n_s) if n_s else None))
             except ValueError:
                 raise GoebelError(f"bad dataset row {path}, line {lineno}") from None
@@ -232,7 +232,8 @@ def cmd_grid(args) -> int:
 def cmd_jp(args) -> int:
     if args.classify is not None:
         p = args.classify
-        rows = [(l, classify_l(p, l).value) for l in range(p)]
+        qr = QrTable(p)
+        rows = [(l, classify_l(p, l, qr).value) for l in range(p)]
         write_rows(args.output, ["l", "classification"], rows, args.format)
         return 0
     rows = reduced.jp_ratio_table(args.p_max, args.p_min, workers=args.threads)

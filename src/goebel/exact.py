@@ -9,11 +9,11 @@ divide h = n g(n) + g(n)^k mod d, and otherwise h/(n+1) is g(n+1) modulo
 the next modulus d/(n+1).  One run therefore finds the first break at any
 index <= L; exact_N doubles L from 64 up to its limit.
 
-goebel_proceed and run_once are the older shrinking-modulus run: its
-modulus starts at cumulative_product(n_max) and is divided by gcd(d, n+1)
-at each step, so only the break at index n_max itself is certain to show,
-and a scan needs one run per n_max.  The tests keep it as the reference
-that exact_N is checked against.
+run_once is the older shrinking-modulus run: its modulus starts at
+cumulative_product(n_max) and is divided by gcd(d, n+1) at each step, so
+only the break at index n_max itself is certain to show, and a scan needs
+one run per n_max.  The tests keep it as the reference that exact_N is
+checked against.
 """
 
 from dataclasses import dataclass
@@ -24,23 +24,6 @@ from .modarith import cumulative_product
 
 # Covers the largest breakdown point known for k <= 10^7 (9011) with slack.
 DEFAULT_N_LIMIT = 12000
-
-
-@dataclass(frozen=True)
-class GobelState:
-    """Residue g of g(n) modulo the current modulus d, at index n."""
-
-    n: int
-    g: int
-    d: int
-
-
-@dataclass(frozen=True)
-class Break:
-    """Non-integrality detected: residue of (n+1) g(n+1) not divisible by m_gcd."""
-
-    residue: int
-    m_gcd: int
 
 
 @dataclass(frozen=True)
@@ -71,29 +54,12 @@ class NkResult:
         return "exceeded" if self.n is None else "exact"
 
 
-def goebel_proceed(state: GobelState, k: int):
-    """One recurrence step under the shrinking modulus.
-
-    Returns the next GobelState, or a Break carrying the offending residue
-    (mod d) and the gcd that failed to divide it.
-    """
-    n, g, d = state.n, state.g, state.d
-    g_mult = n * g + pow(g, k, d)
-    m_gcd = gcd(d, n + 1)
-    if g_mult % m_gcd:
-        return Break(residue=g_mult % d, m_gcd=m_gcd)
-    d_next = d // m_gcd
-    g_next = g_mult // m_gcd * pow((n + 1) // m_gcd, -1, d_next) % d_next
-    return GobelState(n=n + 1, g=g_next, d=d_next)
-
-
 def run_once(k: int, l: int, n_max: int) -> BreakReport | None:
     """Run the recurrence for n = 1..n_max-1; None means no break detected.
 
-    Equivalent to iterating goebel_proceed from (1, l mod P, P) with
-    P = cumulative_product(n_max), but with the loop inlined.  The scan of
-    run_once over n_max = 2, 3, ... is the reference exact_N is tested
-    against.
+    The residue starts as l mod P with P = cumulative_product(n_max).  The
+    scan of run_once over n_max = 2, 3, ... is the reference exact_N is
+    tested against.
     """
     if k < 1 or l < 0 or n_max < 2:
         raise DomainError(f"run_once requires k >= 1, l >= 0, n_max >= 2; got {(k, l, n_max)}")

@@ -1,20 +1,26 @@
 """Modular arithmetic kernel.
 
-Factorization by trial division, p-adic valuations of factorials, the
-prime-domain checks shared by the other modules, and Legendre symbols with
-two interchangeable backends (Euler's criterion for single queries, a
-quadratic-residue bitmap for bulk scans).
+A cached prime table, factorization by trial division, p-adic valuations
+of factorials, the prime-domain checks shared by the other modules, and
+the quadratic-residue bitmap that the reduced walks and the billiard
+checks read the Legendre symbol from.
 
-All functions are pure; the bitmap tables are immutable after construction
-and safe to share across worker processes.
+All functions are pure apart from the growth of the prime table; the
+bitmaps are immutable after construction and safe to share across worker
+processes.
 """
 
 import math
 from bisect import bisect_right
 
+import numpy as np
+
 from .errors import DomainError
 
 DEFAULT_PRIME_BOUND = 10 ** 6
+# Sieving to n takes an n-byte flag array and a list of about n / ln n
+# ints; this bound keeps the prime table to a few hundred MB.
+_PRIME_TABLE_MAX = 10 ** 8
 
 _prime_table: list[int] = []
 _prime_bound = 0
@@ -34,7 +40,9 @@ def _ensure_primes(bound: int) -> None:
     global _prime_table, _prime_bound
     if bound <= _prime_bound:
         return
-    bound = max(bound, 2 * _prime_bound, 10 ** 4)
+    if bound > _PRIME_TABLE_MAX:
+        raise DomainError(f"primes up to {bound} requested; the table stops at {_PRIME_TABLE_MAX}")
+    bound = min(max(bound, 2 * _prime_bound, 10 ** 4), _PRIME_TABLE_MAX)
     flags = _sieve(bound)
     _prime_table = [i for i in range(bound + 1) if flags[i]]
     _prime_bound = bound
@@ -59,6 +67,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
+    """Trial division by the prime table, for n below 10^16."""
     if n < 2:
         return False
     _ensure_primes(math.isqrt(n) + 1)
@@ -136,22 +145,11 @@ def cumulative_product(n: int) -> int:
     return P
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, by Euler's criterion.
-
-    0 iff p divides a, +1 iff a is a nonzero quadratic residue mod p,
-    -1 otherwise.
-    """
-    check_odd_prime(p)
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
 class QrTable:
     """Quadratic-residue bitmap for one odd prime, built in O(p).
 
-    ``bits[x]`` is 1 exactly when x is a nonzero quadratic residue mod p.
-    Used by the bulk-scan code paths; agrees with :func:`legendre` (tested).
+    ``bits[x]`` is 1 exactly when x is a nonzero quadratic residue mod p,
+    so the Legendre symbol of a unit x is +1 or -1 as ``bits[x]`` is 1 or 0.
     """
 
     __slots__ = ("p", "bits")
@@ -159,13 +157,7 @@ class QrTable:
     def __init__(self, p: int):
         check_odd_prime(p)
         self.p = p
-        bits = bytearray(p)
-        for x in range(1, (p + 1) // 2):
-            bits[x * x % p] = 1
-        self.bits = bytes(bits)
-
-    def chi(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            return 0
-        return 1 if self.bits[a] else -1
+        bits = np.zeros(p, dtype=np.uint8)
+        x = np.arange(1, (p + 1) // 2, dtype=np.int64)
+        bits[x * x % p] = 1
+        self.bits = bits.tobytes()

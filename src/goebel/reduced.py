@@ -26,15 +26,6 @@ class Classification(Enum):
 
 
 @dataclass(frozen=True)
-class ReducedTrace:
-    """The full walk: values[i] is g~(i+1), for i = 0..p-1."""
-
-    p: int
-    l: int
-    values: list[int]
-
-
-@dataclass(frozen=True)
 class JpSummary:
     p: int
     l_L: int
@@ -50,21 +41,6 @@ def _check_start(p: int, l: int) -> None:
     check_odd_prime(p)
     if not 0 <= l <= p - 1:
         raise DomainError(f"l must be in [0, {p - 1}], got {l}")
-
-
-def reduced_trace(p: int, l: int, qr: QrTable | None = None) -> ReducedTrace:
-    """Full walk of length p, O(p) with the residue bitmap."""
-    _check_start(p, l)
-    bits = (qr or QrTable(p)).bits
-    values = [0] * p
-    g = l
-    values[0] = g
-    for n in range(1, p):
-        if 0 < g < p:
-            # chi(n) chi(g) = +1 iff n and g are both residues or both not
-            g += 1 if bits[n] == bits[g] else -1
-        values[n] = g
-    return ReducedTrace(p=p, l=l, values=values)
 
 
 def final_value(p: int, l: int, qr_bits: bytes | None = None) -> int:
@@ -118,16 +94,6 @@ def compute_jp(p: int) -> JpSummary:
     bits = QrTable(p).bits
     l_L = _least_even_with(lambda l: final_value(p, l, bits) != 0, p)
     l_R = _least_even_with(lambda l: final_value(p, l, bits) == p, p)
-    return JpSummary(p=p, l_L=l_L, l_R=l_R, count=(l_R - l_L) // 2)
-
-
-def compute_jp_linear(p: int) -> JpSummary:
-    """Linear-scan reference for compute_jp (oracle; O(p) walks)."""
-    check_qualifying_prime(p)
-    bits = QrTable(p).bits
-    finals = {l: final_value(p, l, bits) for l in range(0, p, 2)}
-    l_L = min(l for l, v in finals.items() if v != 0)
-    l_R = min(l for l, v in finals.items() if v == p)
     return JpSummary(p=p, l_L=l_L, l_R=l_R, count=(l_R - l_L) // 2)
 
 

@@ -41,12 +41,6 @@ def prime_trace_mod_p(k_res: int, l_res: int, p: int) -> int:
     return ((p - 1) * u + pow(u, k_res, p)) % p
 
 
-def class_exponent(a: int, p: int) -> int:
-    """Exponent representative for residue class a of actual k >= 1."""
-    a %= p - 1
-    return a if a else p - 1
-
-
 def primitive_root(p: int) -> int:
     order_factors = [q for q, _ in factorize(p - 1)]
     g = 2

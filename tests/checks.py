@@ -1,0 +1,154 @@
+"""Lemma checks and reference computations that only the tests use.
+
+The full reduced walk with its zigzag test, the linear-scan J_p oracle,
+the billiard wall sign psi, the b-sequence symmetry identities, the a = b
+consistency check, and the exponent representative of a residue class.
+They check the library against the paper's lemmas; the library itself
+never calls them.
+"""
+
+from dataclasses import dataclass
+
+from goebel.billiards import _check_pl, construct_a, construct_b
+from goebel.errors import DomainError
+from goebel.modarith import QrTable, check_qualifying_prime
+from goebel.reduced import JpSummary, _check_start, final_value
+
+
+@dataclass(frozen=True)
+class ReducedTrace:
+    """The full walk: values[i] is g~(i+1), for i = 0..p-1."""
+
+    p: int
+    l: int
+    values: list[int]
+
+
+def reduced_trace(p: int, l: int, qr: QrTable | None = None) -> ReducedTrace:
+    """Full walk of length p, O(p) with the residue bitmap."""
+    _check_start(p, l)
+    bits = (qr or QrTable(p)).bits
+    values = [0] * p
+    g = l
+    values[0] = g
+    for n in range(1, p):
+        if 0 < g < p:
+            # chi(n) chi(g) = +1 iff n and g are both residues or both not
+            g += 1 if bits[n] == bits[g] else -1
+        values[n] = g
+    return ReducedTrace(p=p, l=l, values=values)
+
+
+def compute_jp_linear(p: int) -> JpSummary:
+    """Linear-scan reference for compute_jp (oracle; O(p) walks)."""
+    check_qualifying_prime(p)
+    bits = QrTable(p).bits
+    finals = {l: final_value(p, l, bits) for l in range(0, p, 2)}
+    l_L = min(l for l, v in finals.items() if v != 0)
+    l_R = min(l for l, v in finals.items() if v == p)
+    return JpSummary(p=p, l_L=l_L, l_R=l_R, count=(l_R - l_L) // 2)
+
+
+def zigzag(trace: ReducedTrace) -> bool:
+    """True iff the walk takes both an up step and a down step before absorption."""
+    up = down = False
+    values, p = trace.values, trace.p
+    for i in range(len(values) - 1):
+        g = values[i]
+        if g == 0 or g == p:
+            break
+        if values[i + 1] > g:
+            up = True
+        else:
+            down = True
+        if up and down:
+            return True
+    return up and down
+
+
+@dataclass(frozen=True)
+class SymmetryReport:
+    l: int
+    s: int
+    passed: bool
+    failure: str | None = None
+
+
+def _on_board(p: int, l: int, c: int, point: tuple[int, int]) -> tuple[int, int] | None:
+    x, y = point
+    u, v = x + y - c, x - y + c
+    if not (0 <= u <= p - 2 * c and 0 <= v <= 2 * c):
+        return None
+    if u not in (0, p - 2 * c) and v not in (0, 2 * c):
+        return None
+    if (u, v) in ((0, 0), (0, 2 * c)):  # entry and exit corners are excluded
+        return None
+    return u, v
+
+
+def psi(p: int, l: int, point: tuple[int, int]) -> int:
+    """Sign assigned to a visited lattice point.
+
+    The wall x + y = c carries -1 when c = l+1 (near rectangle) and +1
+    when c = p-l-1 (far rectangle); every other wall carries the opposite.
+    """
+    c = _check_pl(p, l)
+    uv = _on_board(p, l, c, point)
+    if uv is None:
+        raise DomainError(f"{point} is not a boundary lattice point for (p={p}, l={l})")
+    on_start_wall = uv[0] == 0
+    wall_sign = -1 if c == l + 1 else 1
+    return wall_sign if on_start_wall else -wall_sign
+
+
+def check_b_symmetries(l: int, s: int) -> SymmetryReport:
+    """Finite check of the b-sequence symmetry identities over one period.
+
+    Covers the s <-> l-s flip (sign change exactly at multiples of l+1)
+    and the three shift identities it implies; returns the first
+    counterexample if any.
+    """
+    if l < 2:
+        raise DomainError(f"symmetry identities require l >= 2, got {l}")
+    b = construct_b(l, s)
+    flipped = construct_b(l, l - s)
+    L1 = l + 1
+
+    def fail(name, n):
+        return SymmetryReport(l=l, s=s, passed=False, failure=f"{name} at n={n}")
+
+    for n in range(1, L1 + 1):
+        want = -flipped.value(n) if n % L1 == 0 else flipped.value(n)
+        if b.value(n) != want:
+            return fail("s<->l-s flip", n)
+    for n in range(1, L1 + 1):
+        if n % L1 and (n + 2 * s + 1) % L1:
+            if b.value(n) != -b.value(n + 2 * s + 1):
+                return fail("shift by 2s+1", n)
+    if s < l // 2:
+        t = l // 2 - s
+        for n in range(1, L1 + 1):
+            if n % L1 and (n + 2 * t) % L1:
+                if b.value(n) != -b.value(n + 2 * t):
+                    return fail("shift by 2t", n)
+        for n in range(0, L1 + 1):
+            if (t - n) % L1 and (t + n) % L1:
+                if b.value(t - n) != b.value(t + n):
+                    return fail("reflection around t", n)
+    return SymmetryReport(l=l, s=s, passed=True)
+
+
+def a_equals_b_consistency(p: int, l: int) -> bool:
+    """Does a(p, l) equal the periodic extension of b(l, s), s = (p-1)/2 mod (l+1)?"""
+    _check_pl(p, l)
+    a = construct_a(p, l)
+    if l == 0:
+        return all(v == 1 for v in a.values)
+    b = construct_b(l, ((p - 1) // 2) % (l + 1))
+    return all(a.value(n) == b.value(n) for n in range(1, p))
+
+
+def class_exponent(a: int, p: int) -> int:
+    """Exponent representative for residue class a of actual k >= 1."""
+    a %= p - 1
+    return a if a else p - 1

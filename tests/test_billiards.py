@@ -4,23 +4,19 @@ import pytest
 from goebel import (
     Classification,
     QrTable,
-    a_equals_b_consistency,
     billiard_path,
-    check_b_symmetries,
     classify_l,
     compute_jp,
     construct_a,
     construct_b,
     empty_iff_conditions,
     primes_in_range,
-    psi,
-    reduced_trace,
     verify_nonmultiplicativity,
-    zigzag,
 )
 from goebel.billiards import _b_query
 from goebel.errors import DomainError
 
+from .checks import a_equals_b_consistency, check_b_symmetries, psi, reduced_trace, zigzag
 from .goldens import A_37_12_FIRST_HALF, B_2_0, B_8_2, SIGMA_37_12
 
 

@@ -251,6 +251,15 @@ def test_stats_bad_dataset_row_is_an_error(tmp_path, capsys):
         assert "bad.csv" in err[0] and "line 3" in err[0]
 
 
+def test_stats_short_dataset_row_is_an_error(tmp_path, capsys):
+    data = tmp_path / "torn.csv"
+    data.write_bytes(b"k,l,N,status\n4,2,97,exact\n\n2,2\n")
+    assert run_cli("stats", "--dataset", str(data), "--prime-share") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad dataset row {data}, line 4\n"
+
+
 def test_sieve_tables_file_of_another_kind_is_an_error(tmp_path, capsys):
     tables = tmp_path / "nk.csv"
     for body in (b"k,l,N,status\n2,2,43,exact\n", b"3,2:\n\xff\xfe\x00\x01\n"):
@@ -324,6 +333,45 @@ def test_jp_classify_diagnostic(tmp_path):
     assert lines[0] == "l,classification"
     assert lines[1] == "0,left"
     assert lines[-1] == "4,right"
+
+
+def test_jp_classify_builds_one_residue_table(tmp_path, monkeypatch):
+    from goebel.modarith import QrTable
+
+    built = []
+    real_init = QrTable.__init__
+
+    def counting_init(self, p):
+        built.append(p)
+        real_init(self, p)
+
+    monkeypatch.setattr(QrTable, "__init__", counting_init)
+    out = tmp_path / "cls.csv"
+    assert run_cli("jp", "--classify", "13", "-o", str(out)) == 0
+    assert built == [13]
+    assert out.read_text().splitlines()[1:] == [
+        f"{l},{'right' if l % 2 or l >= 10 else 'middle' if l >= 4 else 'left'}"
+        for l in range(13)
+    ]
+
+
+def test_prime_bounds_above_the_table_limit_are_an_error(capsys, monkeypatch):
+    import goebel.modarith
+
+    def no_sieve(n):
+        raise AssertionError(f"sieved to {n}")
+
+    monkeypatch.setattr(goebel.modarith, "_sieve", no_sieve)
+    for argv in (
+        ("two-in-jp", "--p-max", "1000000000"),
+        ("jp", "--p-max", "100000001"),
+        ("verify", "--p-max", "1000000000"),
+    ):
+        assert run_cli(*argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), argv
 
 
 def test_jp_requires_mode():

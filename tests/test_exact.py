@@ -1,50 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from goebel import (
-    Break,
-    BreakReport,
-    GobelState,
-    bad_residues,
-    cumulative_product,
-    exact_N,
-    exact_N_range,
-    goebel_proceed,
-    primes_in_range,
-    run_once,
-)
+from goebel import bad_residues, exact_N, exact_N_range, primes_in_range
 from goebel.errors import DomainError
+from goebel.exact import BreakReport, run_once
 
 from .oracles import first_nonintegral, goebel_terms, rational_trace_at_p
-
-
-def test_goebel_proceed_classic_step():
-    # 1*2 + 2^2 = 6, inv(2, 43) = 22, 6*22 = 132 = 3 (mod 43); g(2) = 3 exactly
-    nxt = goebel_proceed(GobelState(n=1, g=2, d=43), k=2)
-    assert nxt == GobelState(n=2, g=3, d=43)
-    assert goebel_terms(2, 2, 2)[1] == 3
-
-
-def test_goebel_proceed_constant_one_start():
-    for k in (1, 2, 5):
-        for d in (6, 35, 43, 64):
-            nxt = goebel_proceed(GobelState(n=1, g=1, d=d), k=k)
-            assert isinstance(nxt, GobelState)
-            assert nxt.n == 2
-            assert nxt.d == d // math.gcd(d, 2)
-            assert nxt.g == 1 % nxt.d
-
-
-def test_goebel_proceed_break_at_43():
-    state = GobelState(n=1, g=2, d=43)
-    for _ in range(41):
-        state = goebel_proceed(state, k=2)
-        assert isinstance(state, GobelState)
-    out = goebel_proceed(state, k=2)
-    assert out == Break(residue=24, m_gcd=43)
 
 
 def test_run_once_spans_the_classic_breakdown():
@@ -204,36 +166,3 @@ def test_start_value_periodicity_mod_p():
             assert (a is None) == (b is None), (l, p)
             if a is not None:
                 assert (a.n_break, a.residue) == (b.n_break, b.residue)
-
-
-def test_modulus_shrinks_monotonically():
-    for k, l, n_max in ((2, 2, 30), (3, 4, 24), (5, 2, 36)):
-        state = GobelState(n=1, g=l % cumulative_product(n_max), d=cumulative_product(n_max))
-        last_d = state.d
-        for _ in range(1, n_max):
-            state = goebel_proceed(state, k)
-            if isinstance(state, Break):
-                break
-            assert last_d % state.d == 0
-            assert 0 <= state.g < state.d
-            last_d = state.d
-
-
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=30))
-@settings(max_examples=60, deadline=None)
-def test_run_once_agrees_with_stepwise_proceed(k, l):
-    n_max = 20
-    P = cumulative_product(n_max)
-    state = GobelState(n=1, g=l % P, d=P)
-    stepwise = None
-    for _ in range(1, n_max):
-        out = goebel_proceed(state, k)
-        if isinstance(out, Break):
-            stepwise = (state.n + 1, out.residue, state.d)
-            break
-        state = out
-    inlined = run_once(k, l, n_max)
-    if stepwise is None:
-        assert inlined is None
-    else:
-        assert (inlined.n_break, inlined.residue, inlined.modulus_at_break) == stepwise

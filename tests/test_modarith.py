@@ -4,18 +4,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from goebel import (
+import goebel.modarith
+from goebel.errors import DomainError
+from goebel.modarith import (
     QrTable,
     cumulative_product,
     factorial_valuation,
     factorize,
     is_prime,
-    legendre,
+    primes_in_range,
     primes_up_to,
 )
-from goebel.errors import DomainError
 
 from .oracles import factorial_factorization, naive_legendre
+
+
+def symbols(p):
+    """The Legendre symbols (a/p) for a = 0..p-1, read off the QrTable bitmap."""
+    bits = QrTable(p).bits
+    return [0] + [1 if bits[a] else -1 for a in range(1, p)]
 
 
 def test_factorize_examples():
@@ -88,31 +95,33 @@ def test_factorial_valuation():
 
 def test_legendre_examples():
     for p in (3, 7, 13, 101):
-        assert legendre(1, p) == 1
-        assert legendre(0, p) == 0
-        assert legendre(p * 3, p) == 0
-    assert legendre(2, 13) == -1
-    assert legendre(12, 13) == 1  # 5^2 = 25 = 12 (mod 13)
+        chi = symbols(p)
+        assert chi[1] == 1
+        assert chi[0] == 0
+        assert len(chi) == p == len(QrTable(p).bits)
+    assert symbols(13)[2] == -1
+    assert symbols(13)[12] == 1  # 5^2 = 25 = 12 (mod 13)
 
 
 def test_legendre_matches_square_enumeration():
     for p in (3, 5, 7, 11, 13, 31, 97):
+        chi = symbols(p)
         for a in range(0, p):
-            assert legendre(a, p) == naive_legendre(a, p), (a, p)
+            assert chi[a] == naive_legendre(a, p), (a, p)
 
 
 def test_legendre_rejects_even_or_tiny():
-    with pytest.raises(DomainError):
-        legendre(3, 4)
-    with pytest.raises(DomainError):
-        legendre(3, 2)
+    for p in (4, 2):
+        with pytest.raises(DomainError):
+            QrTable(p)
 
 
 def test_legendre_complete_multiplicativity():
     for p in (3, 5, 7, 13, 31, 97):
+        chi = symbols(p)
         for a in range(1, p):
             for b in range(1, p):
-                assert legendre(a, p) * legendre(b, p) == legendre(a * b, p)
+                assert chi[a] * chi[b] == chi[a * b % p]
 
 
 def test_legendre_complete_multiplicativity_all_p_below_1000():
@@ -122,7 +131,7 @@ def test_legendre_complete_multiplicativity_all_p_below_1000():
     for p in primes_up_to(997):
         if p < 3:
             continue
-        chi = np.array([0] + [legendre(a, p) for a in range(1, p)], dtype=np.int8)
+        chi = np.array(symbols(p), dtype=np.int8)
         a = np.arange(1, p, dtype=np.int64)
         prod = chi[np.outer(a, a) % p]
         assert (np.outer(chi[a], chi[a]) == prod).all(), p
@@ -133,20 +142,55 @@ def test_legendre_supplements():
     for p in primes_up_to(997):
         if p < 3:
             continue
-        assert (legendre(p - 1, p) == 1) == (p % 4 == 1), p
-        assert (legendre(2, p) == 1) == (p % 8 in (1, 7)), p
+        chi = symbols(p)
+        assert (chi[p - 1] == 1) == (p % 4 == 1), p
+        assert (chi[2] == 1) == (p % 8 in (1, 7)), p
 
 
 def test_qr_table_agrees_with_euler_backend():
-    for p in primes_up_to(500):
+    # the bitmap against Euler's criterion, a^((p-1)/2) = 1 (mod p) for residues
+    for p in primes_up_to(500) + [9973, 99989]:
         if p < 3:
             continue
-        table = QrTable(p)
-        for a in range(0, p):
-            assert table.chi(a) == legendre(a, p), (a, p)
-    assert QrTable(13).chi(12 + 13) == 1  # reduces its argument
+        bits = QrTable(p).bits
+        assert bits[0] == 0, p
+        for a in range(1, p):
+            assert bits[a] == (pow(a, (p - 1) // 2, p) == 1), (a, p)
 
 
 def test_qr_table_rejects_non_odd_prime_sizes():
+    for p in (4, 9, 1, 0):
+        with pytest.raises(DomainError):
+            QrTable(p)
+
+
+def test_prime_table_bound_is_checked_before_sieving(monkeypatch):
+    class Sieved(Exception):
+        pass
+
+    sieved = []
+
+    def recording_sieve(n):
+        sieved.append(n)
+        raise Sieved(n)
+
+    monkeypatch.setattr(goebel.modarith, "_sieve", recording_sieve)
     with pytest.raises(DomainError):
-        QrTable(4)
+        primes_up_to(10 ** 8 + 1)
+    with pytest.raises(DomainError):
+        primes_in_range(13, 10 ** 9)
+    with pytest.raises(DomainError):
+        is_prime(10 ** 17 + 3)  # trial division would need primes up to 3.2 * 10^8
+    assert sieved == []
+    # the geometric growth of the table stops at the bound
+    monkeypatch.setattr(goebel.modarith, "_prime_bound", 6 * 10 ** 7)
+    with pytest.raises(Sieved):
+        goebel.modarith._ensure_primes(7 * 10 ** 7)
+    assert sieved == [10 ** 8]
+
+
+def test_is_prime_of_large_n():
+    assert is_prime(10 ** 12 + 39)
+    assert is_prime(999999999989)
+    assert not is_prime(1000003 * 1000033)
+    assert not is_prime(10 ** 12 + 1)

@@ -4,20 +4,23 @@ import pytest
 
 from goebel import (
     bad_residues,
-    class_exponent,
     exact_N,
     grid_scan,
     prime_trace_mod_p,
-    primes_up_to,
-    read_sieve_tables,
     sieve_range,
     sieve_tables,
     smallest_sieving_prime,
-    write_sieve_tables,
 )
 from goebel.errors import DomainError
-from goebel.sieve import format_table_line, parse_table_line
+from goebel.modarith import primes_up_to
+from goebel.sieve import (
+    format_table_line,
+    parse_table_line,
+    read_sieve_tables,
+    write_sieve_tables,
+)
 
+from .checks import class_exponent
 from .oracles import plocal_trace
 
 
