@@ -189,13 +189,14 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------- sieve
 
 def cmd_sieve(args) -> int:
+    sieve.check_range(args.k_lo, args.k_hi, args.p_max)
     tables = {}
     if args.tables and os.path.exists(args.tables):
         tables = sieve.read_sieve_tables(args.tables)
     tables = sieve.sieve_tables(args.p_max, args.l, tables, workers=args.threads)
+    outcome = sieve.sieve_range(args.k_lo, args.k_hi, args.p_max, args.l, tables)
     if args.tables:
         sieve.write_sieve_tables(args.tables, tables)
-    outcome = sieve.sieve_range(args.k_lo, args.k_hi, args.p_max, args.l, tables)
     if args.spot_check:
         rng = random.Random(args.seed)
         survivors = set(outcome.survivors)
@@ -272,7 +273,6 @@ def cmd_verify(args) -> int:
 def _add_common(sp, cache=False, seed=False):
     sp.add_argument("-o", "--output", default="-", help="output path, '-' for stdout")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--threads", type=int, default=1, help="worker processes")
     if cache:
         sp.add_argument("--cache-dir", default=None, help=f"cache directory (or ${CACHE_ENV})")
     if seed:
@@ -288,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, default=2)
     sp.add_argument("--limit", type=int, default=exact.DEFAULT_N_LIMIT)
     sp.add_argument("--no-cache", action="store_true")
+    sp.add_argument("--threads", type=int, default=1, help="worker processes")
     _add_common(sp, cache=True)
     sp.set_defaults(fn=cmd_exact)
 
@@ -307,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, default=2)
     sp.add_argument("--tables", default=None, help="sieve-table cache file")
     sp.add_argument("--spot-check", type=int, default=0, metavar="N")
+    sp.add_argument("--threads", type=int, default=1, help="worker processes")
     _add_common(sp, seed=True)
     sp.set_defaults(fn=cmd_sieve)
 
@@ -319,23 +321,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-max", type=int)
     sp.add_argument("--p-min", type=int, default=13)
     sp.add_argument("--classify", type=int, metavar="P", help="diagnostic: classify every l for one prime")
+    sp.add_argument("--threads", type=int, default=1, help="worker processes")
     _add_common(sp)
     sp.set_defaults(fn=cmd_jp)
 
     sp = sub.add_parser("two-in-jp", help="primes whose middle block starts at l = 2")
     sp.add_argument("--p-max", type=int, required=True)
+    sp.add_argument("--threads", type=int, default=1, help="worker processes")
     _add_common(sp)
     sp.set_defaults(fn=cmd_two_in_jp)
 
     sp = sub.add_parser("billiards", help="dump billiard sign sequences")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--l", type=int, default=None)
-    _add_common(sp)
+    sp.add_argument("-o", "--output", default="-", help="output path, '-' for stdout")
     sp.set_defaults(fn=cmd_billiards)
 
     sp = sub.add_parser("verify", help="machine-verify the non-multiplicativity theorem")
     sp.add_argument("--p-max", type=int, required=True)
     sp.add_argument("--p-min", type=int, default=13)
+    sp.add_argument("--threads", type=int, default=1, help="worker processes")
     _add_common(sp)
     sp.set_defaults(fn=cmd_verify)
 

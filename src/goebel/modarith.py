@@ -1,82 +1,67 @@
 """Modular arithmetic kernel.
 
-A cached prime table, factorization by trial division, p-adic valuations
-of factorials, the prime-domain checks shared by the other modules, and
-the quadratic-residue bitmap that the reduced walks and the billiard
-checks read the Legendre symbol from.
+Prime lists from a per-call sieve, primality and factorization by trial
+division, p-adic valuations of factorials, the prime-domain checks shared
+by the other modules, and the quadratic-residue bitmap that the reduced
+walks and the billiard checks read the Legendre symbol from.
 
-All functions are pure apart from the growth of the prime table; the
-bitmaps are immutable after construction and safe to share across worker
-processes.
+Every function is pure; the bitmaps are immutable after construction and
+safe to share across worker processes.
 """
 
 import math
-from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
 from .errors import DomainError
 
-DEFAULT_PRIME_BOUND = 10 ** 6
-# Sieving to n takes an n-byte flag array and a list of about n / ln n
-# ints; this bound keeps the prime table to a few hundred MB.
-_PRIME_TABLE_MAX = 10 ** 8
+# Both range sieves take an n-byte flag array for n values, bounded here to
+# 100 MB.  What they return is not bounded by it: sieve_range's survivors
+# cost about 50 bytes each while they are read back (an int64 index and a
+# list of ints), so a 10^8 range where every k survives (l = 1) needs
+# about 5 GB.
+SIEVE_MAX = 10 ** 8
+# Trial division below this bound tries at most 5 * 10^7 divisors.
+_IS_PRIME_MAX = 10 ** 16
 
-_prime_table: list[int] = []
-_prime_bound = 0
 
-
-def _sieve(n: int) -> bytearray:
-    flags = bytearray([1]) * (n + 1)
-    flags[0:2] = b"\x00\x00"
+def _sieve(n: int) -> np.ndarray:
+    """flags[i] is True exactly when i <= n is prime."""
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
     for i in range(2, math.isqrt(n) + 1):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+            flags[i * i :: i] = False
     return flags
 
 
-def _ensure_primes(bound: int) -> None:
-    # Geometric growth so repeated small requests do not re-sieve.
-    global _prime_table, _prime_bound
-    if bound <= _prime_bound:
-        return
-    if bound > _PRIME_TABLE_MAX:
-        raise DomainError(f"primes up to {bound} requested; the table stops at {_PRIME_TABLE_MAX}")
-    bound = min(max(bound, 2 * _prime_bound, 10 ** 4), _PRIME_TABLE_MAX)
-    flags = _sieve(bound)
-    _prime_table = [i for i in range(bound + 1) if flags[i]]
-    _prime_bound = bound
+def primes_in_range(lo: int, hi: int) -> list[int]:
+    """All primes in [lo, hi], ascending, for hi up to 10^8."""
+    if hi > SIEVE_MAX:
+        raise DomainError(f"primes up to {hi} requested; prime lists stop at {SIEVE_MAX}")
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    return (np.flatnonzero(_sieve(hi)[lo:]) + lo).tolist()
 
 
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n, ascending."""
-    if n < 2:
-        return []
-    _ensure_primes(n)
-    return _prime_table[: bisect_right(_prime_table, n)]
+    return primes_in_range(2, n)
 
 
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], ascending."""
-    if hi < lo:
-        return []
-    _ensure_primes(hi)
-    i = bisect_right(_prime_table, lo - 1)
-    j = bisect_right(_prime_table, hi)
-    return _prime_table[i:j]
+def _trial_divisors(n: int):
+    """2 and the odd d <= sqrt(n), ascending."""
+    r = math.isqrt(n)
+    return chain(range(2, min(r, 2) + 1), range(3, r + 1, 2))
 
 
 def is_prime(n: int) -> bool:
-    """Trial division by the prime table, for n below 10^16."""
-    if n < 2:
-        return False
-    _ensure_primes(math.isqrt(n) + 1)
-    for p in _prime_table:
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return n == p
-    return True
+    """Trial division, for n below 10^16."""
+    if n >= _IS_PRIME_MAX:
+        raise DomainError(f"is_prime needs n below {_IS_PRIME_MAX}, got {n}")
+    return n >= 2 and all(n % d for d in _trial_divisors(n))
 
 
 def check_odd_prime(p: int) -> None:
@@ -98,25 +83,22 @@ def qualifying_primes(lo: int, hi: int) -> list[int]:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n as ascending (prime, exponent) pairs.
 
-    n = 1 yields the empty list.  Trial division against a cached prime
-    table; adequate for sequence indices, not cryptographic sizes.
+    n = 1 yields the empty list.  Trial division; adequate for sequence
+    indices, not cryptographic sizes.
     """
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {n}")
-    _ensure_primes(min(math.isqrt(n) + 1, DEFAULT_PRIME_BOUND))
     out = []
-    for p in _prime_table:
-        if p * p > n:
+    for d in _trial_divisors(n):
+        if d * d > n:
             break
-        if n % p == 0:
+        if n % d == 0:
             e = 0
-            while n % p == 0:
-                n //= p
+            while n % d == 0:
+                n //= d
                 e += 1
-            out.append((p, e))
+            out.append((d, e))
     if n > 1:
-        if n > _prime_bound * _prime_bound:
-            raise DomainError(f"cofactor {n} exceeds the trial-division range")
         out.append((n, 1))
     return out
 

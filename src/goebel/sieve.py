@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, GoebelError
 from .fileio import replace_lines
-from .modarith import check_odd_prime, factorize, primes_in_range
+from .modarith import SIEVE_MAX, check_odd_prime, factorize, primes_in_range
 
 
 def prime_trace_mod_p(k_res: int, l_res: int, p: int) -> int:
@@ -133,29 +133,35 @@ def sieve_tables(p_max: int, l: int, tables=None, workers: int = 1) -> dict:
     return tables
 
 
-def sieve_range(
-    k_lo: int, k_hi: int, p_max: int, l: int, tables=None, workers: int = 1
-) -> SieveOutcome:
-    """Mark k in [k_lo, k_hi] whose class is bad for some odd prime <= p_max.
-
-    Bitset with per-prime stride marking, primes ascending, so survivor
-    lists are reproducible bit for bit.
-    """
+def check_range(k_lo: int, k_hi: int, p_max: int) -> None:
+    """The arguments sieve_range rejects, checked before any table is built."""
     if not 2 <= k_lo <= k_hi:
         raise DomainError(f"need 2 <= k_lo <= k_hi, got {(k_lo, k_hi)}")
     if p_max < 3:
         raise DomainError(f"need p_max >= 3, got {p_max}")
-    tables = sieve_tables(p_max, l, tables, workers=workers)
     size = k_hi - k_lo + 1
-    marks = bytearray(size)
+    if size > SIEVE_MAX:
+        raise DomainError(f"a k range of {size} values requested; sieving stops at {SIEVE_MAX}")
+
+
+def sieve_range(
+    k_lo: int, k_hi: int, p_max: int, l: int, tables=None, workers: int = 1
+) -> SieveOutcome:
+    """Cross off k in [k_lo, k_hi] whose class is bad for some odd prime <= p_max.
+
+    One numpy bool array over the range, each bad class crossed off with a
+    strided slice; survivors are read back in ascending order, as exact
+    ints for any k_lo.
+    """
+    check_range(k_lo, k_hi, p_max)
+    tables = sieve_tables(p_max, l, tables, workers=workers)
+    alive = np.ones(k_hi - k_lo + 1, dtype=bool)
     primes = primes_in_range(3, p_max)
     for p in primes:
         step = p - 1
         for a in tables[(p, l % p)].bad:
-            start = (a - k_lo) % step
-            if start < size:
-                marks[start::step] = b"\x01" * len(range(start, size, step))
-    survivors = [k_lo + i for i in range(size) if not marks[i]]
+            alive[(a - k_lo) % step :: step] = False
+    survivors = [k_lo + int(i) for i in np.flatnonzero(alive)]
     return SieveOutcome(k_lo=k_lo, k_hi=k_hi, bound=primes[-1] if primes else 0, survivors=survivors)
 
 

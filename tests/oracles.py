@@ -5,6 +5,7 @@ multiplication, set enumeration.  None of it shares code with the
 implementation under test.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -84,6 +85,11 @@ def naive_legendre(a: int, p: int) -> int:
         return 0
     squares = {x * x % p for x in range(1, p)}
     return 1 if a in squares else -1
+
+
+def naive_primes(hi: int) -> list[int]:
+    """The n in [2, hi] with no divisor in [2, sqrt(n)]."""
+    return [n for n in range(2, hi + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
 
 
 def factorial_factorization(n_top: int) -> list[dict]:

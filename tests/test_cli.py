@@ -374,6 +374,65 @@ def test_prime_bounds_above_the_table_limit_are_an_error(capsys, monkeypatch):
         assert len(err) == 1 and err[0].startswith("error: "), argv
 
 
+def test_composite_grid_prime_is_rejected_without_sieving(capsys, monkeypatch):
+    import goebel.modarith
+
+    def no_sieve(n):
+        raise AssertionError(f"sieved to {n}")
+
+    monkeypatch.setattr(goebel.modarith, "_sieve", no_sieve)
+    assert run_cli("grid", "--p", "1000000000000001") == 1  # 7 * 142857142857143
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_sieve_k_range_above_the_bound_is_an_error(tmp_path, capsys, monkeypatch):
+    import goebel.sieve
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("built tables")
+
+    monkeypatch.setattr(goebel.sieve, "sieve_tables", no_tables)
+    tables = tmp_path / "tables.txt"
+    argv = ["sieve", "--k-lo", "2", "--k-hi", "1000000000000", "--p-max", "3"]
+    assert run_cli(*argv, "--tables", str(tables)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not tables.exists()
+
+
+def test_subcommand_option_sets():
+    # every accepted option is read by its command
+    import argparse
+
+    from goebel.cli import build_parser
+
+    io = {"-h", "--help", "-o", "--output", "--format"}
+    expected = {
+        "exact": io | {"--k", "--l", "--limit", "--no-cache", "--threads", "--cache-dir"},
+        "stats": io | {"--dataset", "--mean-mod", "--records", "--prime-share"},
+        "sieve": io | {"--k-lo", "--k-hi", "--p-max", "--l", "--tables", "--spot-check",
+                       "--threads", "--seed"},
+        "grid": io | {"--p"},
+        "jp": io | {"--p-max", "--p-min", "--classify", "--threads"},
+        "two-in-jp": io | {"--p-max", "--threads"},
+        "billiards": {"-h", "--help", "-o", "--output", "--p", "--l"},
+        "verify": io | {"--p-max", "--p-min", "--threads"},
+    }
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    accepted = {
+        name: {opt for action in sp._actions for opt in action.option_strings}
+        for name, sp in sub.choices.items()
+    }
+    assert accepted == expected
+
+
 def test_jp_requires_mode():
     with pytest.raises(SystemExit) as exc:
         run_cli("jp")

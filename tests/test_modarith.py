@@ -16,7 +16,7 @@ from goebel.modarith import (
     primes_up_to,
 )
 
-from .oracles import factorial_factorization, naive_legendre
+from .oracles import factorial_factorization, naive_legendre, naive_primes
 
 
 def symbols(p):
@@ -53,6 +53,18 @@ def test_primes_up_to():
     ps = primes_up_to(10 ** 4)
     assert len(ps) == 1229
     assert ps[-1] == 9973
+    assert primes_up_to(2) == [2]
+    assert primes_in_range(-5, 10) == [2, 3, 5, 7]
+    assert primes_in_range(0, 2) == [2]
+    assert primes_in_range(2, 2) == [2]
+    assert primes_in_range(13, 13) == [13]
+    assert primes_in_range(14, 16) == []
+    assert primes_in_range(20, 10) == []
+    assert primes_in_range(-7, -2) == []
+    naive = naive_primes(10 ** 4)
+    assert ps == naive
+    for lo, hi in ((-5, 100), (0, 1), (3, 3), (50, 5000), (9973, 10 ** 4), (7919, 7920)):
+        assert primes_in_range(lo, hi) == [p for p in naive if lo <= p <= hi], (lo, hi)
 
 
 def test_cumulative_product_examples():
@@ -180,13 +192,8 @@ def test_prime_table_bound_is_checked_before_sieving(monkeypatch):
     with pytest.raises(DomainError):
         primes_in_range(13, 10 ** 9)
     with pytest.raises(DomainError):
-        is_prime(10 ** 17 + 3)  # trial division would need primes up to 3.2 * 10^8
+        is_prime(10 ** 17 + 3)  # trial division would try divisors up to 3.2 * 10^8
     assert sieved == []
-    # the geometric growth of the table stops at the bound
-    monkeypatch.setattr(goebel.modarith, "_prime_bound", 6 * 10 ** 7)
-    with pytest.raises(Sieved):
-        goebel.modarith._ensure_primes(7 * 10 ** 7)
-    assert sieved == [10 ** 8]
 
 
 def test_is_prime_of_large_n():
@@ -194,3 +201,17 @@ def test_is_prime_of_large_n():
     assert is_prime(999999999989)
     assert not is_prime(1000003 * 1000033)
     assert not is_prime(10 ** 12 + 1)
+
+
+def test_trial_division_does_not_sieve(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"sieved to {n}")
+
+    monkeypatch.setattr(goebel.modarith, "_sieve", no_sieve)
+    assert not is_prime(7 * 142857142857143)
+    assert is_prime(1000003)
+    assert factorize(7 * 142857142857143) == [
+        (7, 1), (11, 1), (13, 1), (211, 1), (241, 1), (2161, 1), (9091, 1)
+    ]
+    # a prime cofactor above 10^12 is found by trial division too
+    assert factorize(2 * (10 ** 12 + 39)) == [(2, 1), (10 ** 12 + 39, 1)]

@@ -111,6 +111,14 @@ def test_sieve_range_19_classes():
     sieved = set(range(2, 1001)) - set(out.survivors)
     assert sieved == {k for k in range(2, 1001) if k % 18 in (6, 14)}
     assert out.bound == 19
+    # survivors stay exact ints past int64
+    for k_lo in (2 ** 63 - 50, 2 ** 64):
+        out = sieve_range(k_lo, k_lo + 100, 19, 2)
+        expected = [
+            k for k in range(k_lo, k_lo + 101) if smallest_sieving_prime(k, 2, 19) is None
+        ]
+        assert out.survivors == expected
+        assert all(type(k) is int for k in out.survivors)
 
 
 def test_sieve_range_small_prime_no_bad_classes():
@@ -125,6 +133,18 @@ def test_sieve_range_validates():
         sieve_range(5, 4, 19, 2)
     with pytest.raises(DomainError):
         sieve_range(2, 10, 2, 2)
+
+
+def test_sieve_range_bound_is_checked_before_tables(monkeypatch):
+    import goebel.sieve
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("built tables")
+
+    monkeypatch.setattr(goebel.sieve, "sieve_tables", no_tables)
+    for k_lo, k_hi in ((2, 10 ** 8 + 2), (10 ** 12, 2 * 10 ** 12)):
+        with pytest.raises(DomainError):
+            sieve_range(k_lo, k_hi, 3, 2)
 
 
 def test_sieve_soundness_sampled():
