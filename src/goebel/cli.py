@@ -10,12 +10,13 @@ import json
 import os
 import random
 import sys
+from bisect import bisect_right
+from collections.abc import Sequence
 
 from . import billiards, exact, reduced, sieve
 from .errors import GoebelError
 from .fileio import replace_lines
-from .modarith import QrTable, is_prime
-from .reduced import classify_l
+from .modarith import is_prime
 
 CACHE_ENV = "GOEBEL_CACHE"
 
@@ -188,6 +189,29 @@ def cmd_stats(args) -> int:
 
 # ---------------------------------------------------------------- sieve
 
+class SievedKs(Sequence):
+    """The k in [k_lo, k_hi] that are not survivors, ascending, without listing them.
+
+    The i-th of them is k_lo + i + j, where j counts the survivors with
+    fewer than i + 1 sieved k below them; one bisection finds j.
+    """
+
+    def __init__(self, k_lo: int, k_hi: int, survivors: list[int]):
+        self.k_lo = k_lo
+        self.survivors = survivors
+        self.size = k_hi - k_lo + 1 - len(survivors)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        s, k_lo = self.survivors, self.k_lo
+        j = bisect_right(range(len(s)), i, key=lambda t: s[t] - k_lo - t)
+        return k_lo + i + j
+
+
 def cmd_sieve(args) -> int:
     sieve.check_range(args.k_lo, args.k_hi, args.p_max)
     tables = {}
@@ -199,8 +223,7 @@ def cmd_sieve(args) -> int:
         sieve.write_sieve_tables(args.tables, tables)
     if args.spot_check:
         rng = random.Random(args.seed)
-        survivors = set(outcome.survivors)
-        sieved = [k for k in range(args.k_lo, args.k_hi + 1) if k not in survivors]
+        sieved = SievedKs(args.k_lo, args.k_hi, outcome.survivors)
         sample = rng.sample(sieved, min(args.spot_check, len(sieved)))
         for k in sorted(sample):
             bound = sieve.smallest_sieving_prime(k, args.l, args.p_max, tables)
@@ -232,9 +255,7 @@ def cmd_grid(args) -> int:
 
 def cmd_jp(args) -> int:
     if args.classify is not None:
-        p = args.classify
-        qr = QrTable(p)
-        rows = [(l, classify_l(p, l, qr).value) for l in range(p)]
+        rows = [(l, c.value) for l, c in enumerate(reduced.classify_all(args.classify))]
         write_rows(args.output, ["l", "classification"], rows, args.format)
         return 0
     rows = reduced.jp_ratio_table(args.p_max, args.p_min, workers=args.threads)

@@ -8,12 +8,26 @@ final value classifies integrality at p:
 
   final 0 -> Left, final p -> Right, otherwise Middle (non-integral).
 
-For p = 1 mod 4 the final values are monotone in even l, which makes the
-block boundaries l_L and l_R binary-searchable.
+Two walks whose starts have the same parity never cross: while neither is
+absorbed both move by +-1, so their gap stays even and can only close by
+meeting, after which they coincide; an absorbed walk sits on a barrier,
+the least or greatest value of the board.  So the final value is monotone
+in the start over each parity class.  For p = 1 mod 4 the even starts run
+Left, then Middle, then Right, which makes the block boundaries l_L and
+l_R searchable.
+
+Two kernels walk.  The scalar `final_value` walks one start at a time;
+`compute_jp` bisects with it, and it is the reference for the other
+kernel.  `_walk_runs` walks many (prime, window of starts) jobs in lockstep
+as numpy lanes and, by the no-crossing property, merges each lane into its
+left neighbour once they meet, so few lanes stay alive.  `jp_summaries`
+(with enough primes) and `classify_all` use it.
 """
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import DomainError
 from .modarith import QrTable, check_odd_prime, check_qualifying_prime, qualifying_primes
@@ -86,9 +100,12 @@ def _least_even_with(pred, p: int) -> int:
 def compute_jp(p: int) -> JpSummary:
     """Block boundaries (l_L, l_R) and #J_p = (l_R - l_L) / 2 for p = 1 mod 4, p >= 13.
 
-    Two independent binary searches: l_L is the least even l whose walk is
-    not absorbed at 0, l_R the least even l absorbed at p.  Costs about
-    2 log2(p/2) walks.
+    Two independent binary searches over the even starts, sound because the
+    final values are monotone in even l (walks of one parity never cross):
+    l_L is the least even l whose walk is not absorbed at 0, l_R the least
+    even l absorbed at p.  Costs about 2 log2(p/2) scalar walks.  This is
+    the path for fewer than JP_LOCKSTEP_MIN_PRIMES primes, and the
+    reference for the lockstep path of `jp_summaries`.
     """
     check_qualifying_prime(p)
     bits = QrTable(p).bits
@@ -115,11 +132,176 @@ def scan_two_in_jp(p_max: int, workers: int = 1) -> list[int]:
     return [p for p in hits if p is not None]
 
 
-def jp_summaries(p_min: int, p_max: int, workers: int = 1) -> list[JpSummary]:
-    """compute_jp for every qualifying prime in [max(p_min, 13), p_max], ascending."""
+# Lockstep walks.  numpy costs a few microseconds per step however few lanes
+# are alive, so jp_summaries takes the lockstep path from this many primes
+# on (measured near 10^3, 10^4 and 10^5: one prime walks up to twice as
+# fast in scalar Python, two primes are about even).
+JP_LOCKSTEP_MIN_PRIMES = 3
+# Width of the first window of even starts walked from each end of [0, p-1];
+# a side it does not settle doubles it and walks again.
+JP_WINDOW = 512
+# int8 walk-table bytes per lockstep batch: p + 1 per job, two jobs per prime.
+JP_BATCH_BYTES = 1 << 25
+# Steps between merges of the lanes that have met (measured flat from 32 to
+# 128 steps, and 15-20% slower at 8).
+_MERGE_EVERY = 32
+
+
+def _chi_segment(p: int) -> np.ndarray:
+    """int8 table S of length p + 1: S[x] = chi(x), and S[0] = S[p] = 0."""
+    seg = np.zeros(p + 1, dtype=np.int8)
+    seg[1:p] = np.where(np.frombuffer(QrTable(p).bits, dtype=np.uint8)[1:], 1, -1)
+    return seg
+
+
+def _walk_runs(jobs: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Walk the starts lo, lo+2, ..., hi of every job (p, lo, hi) in lockstep.
+
+    jobs must be sorted by p.  Returns, per job, the arrays (starts, finals)
+    of its surviving lanes in ascending start order: a lane stands for the
+    run of starts from its own start up to the next lane's, all of which
+    end at its final value g~(p).
+
+    Each job owns a segment of one concatenated table holding chi of its
+    prime, with zeros at both barriers, and a lane holds its position as an
+    absolute index into that table, so one step of every lane is
+    g += S[off + n] * S[g] and an absorbed lane stays put.  Positions are
+    then ascending across the whole lane array (within a job because walks
+    of one parity never cross, across jobs because segments are disjoint),
+    so a lane that has met its left neighbour is found by one comparison
+    and dropped.  Since jobs are sorted by p, the lanes whose walk is over
+    form a prefix.
+    """
+    sizes = [p + 1 for p, _, _ in jobs]
+    seg = np.zeros(len(jobs) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=seg[1:])
+    table = np.empty(int(seg[-1]), dtype=np.int8)
+    segment = None
+    for (p, _, _), o in zip(jobs, seg.tolist()):
+        if segment is None or len(segment) != p + 1:
+            segment = _chi_segment(p)
+        table[o : o + p + 1] = segment
+    counts = [(hi - lo) // 2 + 1 for _, lo, hi in jobs]
+    start = np.concatenate([np.arange(lo, hi + 1, 2, dtype=np.intp) for _, lo, hi in jobs])
+    off = np.repeat(seg[:-1], counts)
+    g = off + start
+    ends = [p - 1 for p, _, _ in jobs]
+    done_off, done_start, done_final = [], [], []
+    n, done = 1, 0
+    while done < len(jobs):
+        stop = min(n + _MERGE_EVERY, ends[done] + 1)
+        for m in range(n, stop):
+            g += table[off + m] * table[g]
+        n = stop
+        while done < len(jobs) and ends[done] < n:
+            done += 1
+        cut = len(g) if done == len(jobs) else int(np.searchsorted(g, seg[done]))
+        if cut:
+            done_off.append(off[:cut])
+            done_start.append(start[:cut])
+            done_final.append(g[:cut] - off[:cut])
+            g, off, start = g[cut:], off[cut:], start[cut:]
+        keep = np.empty(len(g), dtype=bool)
+        keep[:1] = True
+        np.not_equal(g[1:], g[:-1], out=keep[1:])
+        g, off, start = g[keep], off[keep], start[keep]
+    off = np.concatenate(done_off)
+    start = np.concatenate(done_start)
+    final = np.concatenate(done_final)
+    bounds = np.searchsorted(off, seg).tolist()
+    return [(start[a:b], final[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _jp_sides(task: tuple[list[tuple[int, int]], int]) -> list[int | None]:
+    """l_L (side 0) or l_R (side 1) of each (p, side) job, walking a window
+    of w even starts at that end of [0, p - 1]; None where the window does
+    not settle it."""
+    sides, w = task
+    jobs = [(p, 0, min(w, p - 1)) if side == 0 else (p, max(p - 1 - w, 0), p - 1)
+            for p, side in sides]
+    out = []
+    for (p, side), (starts, finals) in zip(sides, _walk_runs(jobs)):
+        if side == 0:
+            hit = np.flatnonzero(finals != 0)
+            out.append(int(starts[hit[0]]) if len(hit) else None)
+        else:
+            hit = np.flatnonzero(finals == p)
+            # l_R lies in the window once its lowest start is not absorbed at p
+            settled = finals[0] != p or starts[0] == 0
+            out.append(int(starts[hit[0]]) if settled and len(hit) else None)
+    return out
+
+
+def _byte_batches(sides: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Consecutive runs of the (p, side) jobs with at most JP_BATCH_BYTES of table each."""
+    batches, batch, size = [], [], 0
+    for job in sides:
+        if batch and size + job[0] + 1 > JP_BATCH_BYTES:
+            batches.append(batch)
+            batch, size = [], 0
+        batch.append(job)
+        size += job[0] + 1
+    if batch:
+        batches.append(batch)
+    return batches
+
+
+def _jp_lockstep(primes: list[int], workers: int) -> list[JpSummary]:
+    """compute_jp for ascending primes, galloping in from both ends.
+
+    Each side walks the window of JP_WINDOW even starts at its end of
+    [0, p - 1]; a side the window does not settle doubles it and walks
+    again.  A window over all starts always settles.
+    """
     from .parallel import pmap
 
-    return pmap(compute_jp, qualifying_primes(p_min, p_max), workers=workers, chunksize=8)
+    pending = [(p, side) for p in primes for side in (0, 1)]
+    found = {}
+    w = JP_WINDOW
+    while pending:
+        batches = _byte_batches(pending)
+        results = pmap(_jp_sides, [(b, w) for b in batches], workers=workers)
+        pending = []
+        for batch, values in zip(batches, results):
+            for job, value in zip(batch, values):
+                if value is None:
+                    pending.append(job)
+                else:
+                    found[job] = value
+        w *= 2
+    return [
+        JpSummary(p=p, l_L=found[p, 0], l_R=found[p, 1], count=(found[p, 1] - found[p, 0]) // 2)
+        for p in primes
+    ]
+
+
+def jp_summaries(p_min: int, p_max: int, workers: int = 1) -> list[JpSummary]:
+    """compute_jp for every qualifying prime in [max(p_min, 13), p_max], ascending.
+
+    From JP_LOCKSTEP_MIN_PRIMES primes on, the numpy lockstep walks of
+    `_walk_runs` find the boundaries, in batches of at most JP_BATCH_BYTES
+    of walk tables spread over the workers; below that, scalar compute_jp
+    per prime.  Both rely on the final values being monotone in even l,
+    since walks from starts of one parity never cross (module docstring).
+    """
+    from .parallel import pmap
+
+    primes = qualifying_primes(p_min, p_max)
+    if len(primes) >= JP_LOCKSTEP_MIN_PRIMES:
+        return _jp_lockstep(primes, workers)
+    return pmap(compute_jp, primes, workers=workers, chunksize=8)
+
+
+def classify_all(p: int) -> list[Classification]:
+    """classify_l(p, l) for l = 0, ..., p - 1, by one lockstep walk per parity."""
+    check_odd_prime(p)
+    by_final = {0: Classification.LEFT, p: Classification.RIGHT}
+    classes = [None] * p
+    for lo, (starts, finals) in zip((0, 1), _walk_runs([(p, 0, p - 1), (p, 1, p - 2)])):
+        # the run holding l begins at the greatest lane start <= l
+        runs = np.searchsorted(starts, np.arange(lo, p, 2), side="right") - 1
+        classes[lo::2] = [by_final.get(v, Classification.MIDDLE) for v in finals[runs].tolist()]
+    return classes
 
 
 def format_ratio(count: int, p: int) -> str:

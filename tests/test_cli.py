@@ -307,6 +307,35 @@ def test_sieve_cli_with_tables_and_spot_check(tmp_path, capsys):
     assert "3,2:\n" in text
 
 
+def test_spot_check_samples_lazily_as_from_the_list_of_sieved_k():
+    import random
+    import tracemalloc
+
+    from goebel.cli import SievedKs
+    from goebel.sieve import sieve_range
+
+    for k_lo, k_hi in ((2, 3000), (1001, 4000)):
+        survivors = sieve_range(k_lo, k_hi, 40, 2).survivors
+        alive = set(survivors)
+        listed = [k for k in range(k_lo, k_hi + 1) if k not in alive]
+        lazy = SievedKs(k_lo, k_hi, survivors)
+        assert len(lazy) == len(listed) and list(lazy) == listed
+        for seed in range(6):
+            for n in (1, 5, 100):
+                assert random.Random(seed).sample(lazy, n) == random.Random(seed).sample(listed, n)
+
+    survivors = sieve_range(2, 10 ** 6 + 1, 40, 2).survivors
+    tracemalloc.start()
+    try:
+        lazy = SievedKs(2, 10 ** 6 + 1, survivors)
+        sample = random.Random(0).sample(lazy, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(sample) & set(survivors)) == 0
+    assert peak < 100_000  # a list of the ~10^6 sieved k takes about 8 MB for its pointers alone
+
+
 def test_grid_cli(tmp_path):
     out = tmp_path / "grid.csv"
     assert run_cli("grid", "--p", "7", "-o", str(out)) == 0
@@ -324,6 +353,32 @@ def test_jp_cli_table2(tmp_path):
         count, want_lL, want_lR = JP_TABLE[int(p)]
         assert (int(l_L), int(l_R), int(size)) == (want_lL, want_lR, count)
         assert 0 < float(ratio) < 0.5
+
+
+def test_jp_output_is_the_same_across_threads_batches_and_formats(tmp_path, monkeypatch):
+    from goebel import compute_jp, reduced
+    from goebel.modarith import qualifying_primes
+
+    def jp(name, *extra):
+        out = tmp_path / name
+        assert run_cli("jp", "--p-min", "1000", "--p-max", "1400", "-o", str(out), *extra) == 0
+        return out.read_bytes()
+
+    body = jp("t1.csv", "--threads", "1")
+    want = "".join(
+        f"{s.p},{s.l_L},{s.l_R},{s.count},{s.count / s.p:.6f}\n"
+        for s in map(compute_jp, qualifying_primes(1000, 1400))
+    )
+    assert body == ("p,l_L,l_R,J_size,ratio\n" + want).encode()
+    assert jp("t2.csv", "--threads", "2") == body
+    monkeypatch.setattr(reduced, "JP_BATCH_BYTES", 3000)
+    assert jp("small.csv", "--threads", "2") == body
+    records = json.loads(jp("t2.json", "--threads", "2", "--format", "json"))
+    header, *lines = body.decode().splitlines()
+    assert [list(r.values()) for r in records] == [
+        [int(v) for v in line.split(",")[:4]] + [line.split(",")[4]] for line in lines
+    ]
+    assert all(list(r) == header.split(",") for r in records)
 
 
 def test_jp_classify_diagnostic(tmp_path):

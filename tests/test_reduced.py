@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from goebel import (
@@ -9,8 +11,10 @@ from goebel import (
     primes_in_range,
     scan_two_in_jp,
 )
+from goebel import reduced
 from goebel.errors import DomainError
-from goebel.reduced import final_value, format_ratio, jp_ratio_table
+from goebel.modarith import qualifying_primes
+from goebel.reduced import classify_all, final_value, format_ratio, jp_ratio_table, jp_summaries
 
 from .checks import compute_jp_linear, reduced_trace
 from .goldens import JP_TABLE, TWO_IN_JP_BELOW_1E4
@@ -205,3 +209,75 @@ def test_ratio_formatting_rounds_half_even():
     assert format_ratio(1, 16) == "0.062500"
     # exact binary ties go to even: 1/64 = 0.015625
     assert f"{1 / 64:.5f}" == "0.01562"
+
+
+# ---------------------------------------------------------------- lockstep walks
+
+
+def test_lockstep_jp_matches_scalar_below_3000():
+    # windows of 512 from each end span every start below p = 1027
+    primes = qualifying_primes(13, 3000)
+    assert jp_summaries(13, 3000) == [compute_jp(p) for p in primes]
+
+
+def test_lockstep_jp_matches_scalar_near_1e5_with_a_second_round():
+    # the first windows do not settle l_L of 99881 or l_R of 99901
+    first = reduced._jp_sides(([(99881, 0), (99901, 1), (99989, 0), (99989, 1)], reduced.JP_WINDOW))
+    assert first[:2] == [None, None] and None not in first[2:]
+    primes = qualifying_primes(5 * 10 ** 4, 10 ** 5)
+    sample = sorted(random.Random(10).sample(primes[:-3], 4)) + [99881, 99901, 99989]
+    assert reduced._jp_lockstep(sample, workers=1) == [compute_jp(p) for p in sample]
+
+
+def test_lockstep_jp_matches_linear_scan():
+    for s in jp_summaries(1000, 1200):
+        assert s == compute_jp_linear(s.p), s.p
+
+
+def test_lockstep_jp_gallops_from_a_tiny_window(monkeypatch):
+    monkeypatch.setattr(reduced, "JP_WINDOW", 2)
+    primes = qualifying_primes(13, 1500)
+    want = [compute_jp(p) for p in primes]
+    # windows {0, 2} and {p - 3, p - 1} settle only l_L = 2 and l_R = p - 1
+    first = reduced._jp_sides(([(p, s) for p in primes for s in (0, 1)], 2))
+    assert first[0::2] == [s.l_L if s.l_L == 2 else None for s in want]
+    assert first[1::2] == [s.l_R if s.l_R == s.p - 1 else None for s in want]
+    assert jp_summaries(13, 1500) == want
+
+
+def test_lockstep_threshold_from_both_sides(monkeypatch):
+    scalar_calls = []
+
+    def counting(p):
+        scalar_calls.append(p)
+        return compute_jp(p)
+
+    monkeypatch.setattr(reduced, "compute_jp", counting)
+    below = qualifying_primes(13, 10 ** 4)[: reduced.JP_LOCKSTEP_MIN_PRIMES]
+    assert jp_summaries(13, below[-2]) == [compute_jp(p) for p in below[:-1]]
+    assert scalar_calls == below[:-1]
+    scalar_calls.clear()
+    assert jp_summaries(13, below[-1]) == [compute_jp(p) for p in below]
+    assert scalar_calls == []
+
+
+def test_lockstep_batches_split_by_table_bytes(monkeypatch):
+    monkeypatch.setattr(reduced, "JP_BATCH_BYTES", 4000)
+    jobs = [(p, s) for p in qualifying_primes(13, 3000) for s in (0, 1)]
+    batches = reduced._byte_batches(jobs)
+    assert [j for b in batches for j in b] == jobs
+    assert all(sum(p + 1 for p, _ in b) <= 4000 for b in batches)
+    assert jp_summaries(13, 3000, workers=2) == [compute_jp(p) for p, _ in jobs[::2]]
+
+
+def test_classify_all_matches_classify_l():
+    # 103 is 3 mod 4: every even start ends at 0
+    for p in (3, 5, 13, 101, 103, 4001):
+        qr = QrTable(p)
+        assert classify_all(p) == [classify_l(p, l, qr) for l in range(p)], p
+
+
+def test_classify_all_rejects_non_primes():
+    for p in (1, 2, 9):
+        with pytest.raises(DomainError):
+            classify_all(p)
