@@ -11,7 +11,6 @@ import os
 import random
 import sys
 from bisect import bisect_right
-from collections.abc import Sequence
 
 from . import billiards, exact, reduced, sieve
 from .errors import GoebelError
@@ -189,27 +188,14 @@ def cmd_stats(args) -> int:
 
 # ---------------------------------------------------------------- sieve
 
-class SievedKs(Sequence):
-    """The k in [k_lo, k_hi] that are not survivors, ascending, without listing them.
+def _nth_sieved(k_lo: int, survivors: list[int], i: int) -> int:
+    """The i-th (from 0) k >= k_lo that is not in the ascending survivors.
 
-    The i-th of them is k_lo + i + j, where j counts the survivors with
-    fewer than i + 1 sieved k below them; one bisection finds j.
+    It is k_lo + i + j, where j counts the survivors with fewer than i + 1
+    sieved k below them; one bisection finds j.
     """
-
-    def __init__(self, k_lo: int, k_hi: int, survivors: list[int]):
-        self.k_lo = k_lo
-        self.survivors = survivors
-        self.size = k_hi - k_lo + 1 - len(survivors)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.size:
-            raise IndexError(i)
-        s, k_lo = self.survivors, self.k_lo
-        j = bisect_right(range(len(s)), i, key=lambda t: s[t] - k_lo - t)
-        return k_lo + i + j
+    j = bisect_right(range(len(survivors)), i, key=lambda t: survivors[t] - k_lo - t)
+    return k_lo + i + j
 
 
 def cmd_sieve(args) -> int:
@@ -223,8 +209,13 @@ def cmd_sieve(args) -> int:
         sieve.write_sieve_tables(args.tables, tables)
     if args.spot_check:
         rng = random.Random(args.seed)
-        sieved = SievedKs(args.k_lo, args.k_hi, outcome.survivors)
-        sample = rng.sample(sieved, min(args.spot_check, len(sieved)))
+        # sampling indices draws the same k for a seed as sampling the list
+        # of sieved k would, without building that list
+        size = args.k_hi - args.k_lo + 1 - len(outcome.survivors)
+        sample = [
+            _nth_sieved(args.k_lo, outcome.survivors, i)
+            for i in rng.sample(range(size), min(args.spot_check, size))
+        ]
         for k in sorted(sample):
             bound = sieve.smallest_sieving_prime(k, args.l, args.p_max, tables)
             result = exact.exact_N(k, args.l, bound)

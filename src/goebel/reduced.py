@@ -21,7 +21,7 @@ Two kernels walk.  The scalar `final_value` walks one start at a time;
 kernel.  `_walk_runs` walks many (prime, window of starts) jobs in lockstep
 as numpy lanes and, by the no-crossing property, merges each lane into its
 left neighbour once they meet, so few lanes stay alive.  `jp_summaries`
-(with enough primes) and `classify_all` use it.
+and `classify_all` use it.
 """
 
 from dataclasses import dataclass
@@ -62,15 +62,15 @@ def final_value(p: int, l: int, qr_bits: bytes | None = None) -> int:
     if qr_bits is None:
         _check_start(p, l)
         qr_bits = QrTable(p).bits
-    g = l
-    if g == 0:
-        return 0
-    for n in range(1, p):
-        g += 1 if qr_bits[n] == qr_bits[g] else -1
-        if g == 0:
-            return 0
-        if g == p:
-            return p
+    return _walk_on(p, l, 1, qr_bits)
+
+
+def _walk_on(p: int, g: int, n: int, bits: bytes) -> int:
+    """g~(p) of a walk that is at g before step n; bits[x] != bits[y] iff chi(x) != chi(y)."""
+    for m in range(n, p):
+        if g == 0 or g == p:
+            return g
+        g += 1 if bits[m] == bits[g] else -1
     return g
 
 
@@ -103,9 +103,8 @@ def compute_jp(p: int) -> JpSummary:
     Two independent binary searches over the even starts, sound because the
     final values are monotone in even l (walks of one parity never cross):
     l_L is the least even l whose walk is not absorbed at 0, l_R the least
-    even l absorbed at p.  Costs about 2 log2(p/2) scalar walks.  This is
-    the path for fewer than JP_LOCKSTEP_MIN_PRIMES primes, and the
-    reference for the lockstep path of `jp_summaries`.
+    even l absorbed at p.  Costs about 2 log2(p/2) scalar walks.  It is
+    the reference for the lockstep walks of `jp_summaries`.
     """
     check_qualifying_prime(p)
     bits = QrTable(p).bits
@@ -132,11 +131,6 @@ def scan_two_in_jp(p_max: int, workers: int = 1) -> list[int]:
     return [p for p in hits if p is not None]
 
 
-# Lockstep walks.  numpy costs a few microseconds per step however few lanes
-# are alive, so jp_summaries takes the lockstep path from this many primes
-# on (measured near 10^3, 10^4 and 10^5: one prime walks up to twice as
-# fast in scalar Python, two primes are about even).
-JP_LOCKSTEP_MIN_PRIMES = 3
 # Width of the first window of even starts walked from each end of [0, p-1];
 # a side it does not settle doubles it and walks again.
 JP_WINDOW = 512
@@ -145,6 +139,11 @@ JP_BATCH_BYTES = 1 << 25
 # Steps between merges of the lanes that have met (measured flat from 32 to
 # 128 steps, and 15-20% slower at 8).
 _MERGE_EVERY = 32
+# Once at most this many lanes are still walking, each finishes as a scalar
+# walk.  A numpy step costs about as much as 25 scalar steps, but lanes keep
+# merging; 4 to 8 measured fastest for primes near 10^5 and 10^6, and 4 to
+# 32 were level on 13 primes near 5*10^4.
+_SCALAR_LANES = 8
 
 
 def _chi_segment(p: int) -> np.ndarray:
@@ -170,7 +169,8 @@ def _walk_runs(jobs: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.nd
     of one parity never cross, across jobs because segments are disjoint),
     so a lane that has met its left neighbour is found by one comparison
     and dropped.  Since jobs are sorted by p, the lanes whose walk is over
-    form a prefix.
+    form a prefix.  Once at most _SCALAR_LANES lanes are off the barriers,
+    each of them finishes as a scalar walk and the lockstep stops.
     """
     sizes = [p + 1 for p, _, _ in jobs]
     seg = np.zeros(len(jobs) + 1, dtype=np.intp)
@@ -205,6 +205,16 @@ def _walk_runs(jobs: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.nd
         keep[:1] = True
         np.not_equal(g[1:], g[:-1], out=keep[1:])
         g, off, start = g[keep], off[keep], start[keep]
+        walking = np.flatnonzero(table[g])  # S is 0 only at the barriers
+        if done < len(jobs) and len(walking) <= _SCALAR_LANES:
+            for i in walking.tolist():
+                o = int(off[i])
+                p = int(seg[np.searchsorted(seg, o, side="right")]) - o - 1
+                g[i] = o + _walk_on(p, int(g[i]) - o, n, table[o : o + p + 1].tobytes())
+            done = len(jobs)
+            done_off.append(off)
+            done_start.append(start)
+            done_final.append(g - off)
     off = np.concatenate(done_off)
     start = np.concatenate(done_start)
     final = np.concatenate(done_final)
@@ -278,18 +288,12 @@ def _jp_lockstep(primes: list[int], workers: int) -> list[JpSummary]:
 def jp_summaries(p_min: int, p_max: int, workers: int = 1) -> list[JpSummary]:
     """compute_jp for every qualifying prime in [max(p_min, 13), p_max], ascending.
 
-    From JP_LOCKSTEP_MIN_PRIMES primes on, the numpy lockstep walks of
-    `_walk_runs` find the boundaries, in batches of at most JP_BATCH_BYTES
-    of walk tables spread over the workers; below that, scalar compute_jp
-    per prime.  Both rely on the final values being monotone in even l,
-    since walks from starts of one parity never cross (module docstring).
+    The numpy lockstep walks of `_walk_runs` find the boundaries, in
+    batches of at most JP_BATCH_BYTES of walk tables spread over the
+    workers.  They rely on the final values being monotone in even l, since
+    walks from starts of one parity never cross (module docstring).
     """
-    from .parallel import pmap
-
-    primes = qualifying_primes(p_min, p_max)
-    if len(primes) >= JP_LOCKSTEP_MIN_PRIMES:
-        return _jp_lockstep(primes, workers)
-    return pmap(compute_jp, primes, workers=workers, chunksize=8)
+    return _jp_lockstep(qualifying_primes(p_min, p_max), workers)
 
 
 def classify_all(p: int) -> list[Classification]:

@@ -311,24 +311,27 @@ def test_spot_check_samples_lazily_as_from_the_list_of_sieved_k():
     import random
     import tracemalloc
 
-    from goebel.cli import SievedKs
+    from goebel.cli import _nth_sieved
     from goebel.sieve import sieve_range
 
     for k_lo, k_hi in ((2, 3000), (1001, 4000)):
         survivors = sieve_range(k_lo, k_hi, 40, 2).survivors
         alive = set(survivors)
         listed = [k for k in range(k_lo, k_hi + 1) if k not in alive]
-        lazy = SievedKs(k_lo, k_hi, survivors)
-        assert len(lazy) == len(listed) and list(lazy) == listed
+        assert [_nth_sieved(k_lo, survivors, i) for i in range(len(listed))] == listed
         for seed in range(6):
             for n in (1, 5, 100):
-                assert random.Random(seed).sample(lazy, n) == random.Random(seed).sample(listed, n)
+                lazy = [
+                    _nth_sieved(k_lo, survivors, i)
+                    for i in random.Random(seed).sample(range(len(listed)), n)
+                ]
+                assert lazy == random.Random(seed).sample(listed, n)
 
     survivors = sieve_range(2, 10 ** 6 + 1, 40, 2).survivors
     tracemalloc.start()
     try:
-        lazy = SievedKs(2, 10 ** 6 + 1, survivors)
-        sample = random.Random(0).sample(lazy, 100)
+        size = 10 ** 6 - len(survivors)
+        sample = [_nth_sieved(2, survivors, i) for i in random.Random(0).sample(range(size), 100)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

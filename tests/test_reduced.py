@@ -218,6 +218,10 @@ def test_lockstep_jp_matches_scalar_below_3000():
     # windows of 512 from each end span every start below p = 1027
     primes = qualifying_primes(13, 3000)
     assert jp_summaries(13, 3000) == [compute_jp(p) for p in primes]
+    # calls over no, one and two primes
+    assert jp_summaries(14, 16) == []
+    assert jp_summaries(13, 16) == [compute_jp(13)]
+    assert jp_summaries(13, 17) == [compute_jp(13), compute_jp(17)]
 
 
 def test_lockstep_jp_matches_scalar_near_1e5_with_a_second_round():
@@ -243,22 +247,6 @@ def test_lockstep_jp_gallops_from_a_tiny_window(monkeypatch):
     assert first[0::2] == [s.l_L if s.l_L == 2 else None for s in want]
     assert first[1::2] == [s.l_R if s.l_R == s.p - 1 else None for s in want]
     assert jp_summaries(13, 1500) == want
-
-
-def test_lockstep_threshold_from_both_sides(monkeypatch):
-    scalar_calls = []
-
-    def counting(p):
-        scalar_calls.append(p)
-        return compute_jp(p)
-
-    monkeypatch.setattr(reduced, "compute_jp", counting)
-    below = qualifying_primes(13, 10 ** 4)[: reduced.JP_LOCKSTEP_MIN_PRIMES]
-    assert jp_summaries(13, below[-2]) == [compute_jp(p) for p in below[:-1]]
-    assert scalar_calls == below[:-1]
-    scalar_calls.clear()
-    assert jp_summaries(13, below[-1]) == [compute_jp(p) for p in below]
-    assert scalar_calls == []
 
 
 def test_lockstep_batches_split_by_table_bytes(monkeypatch):
