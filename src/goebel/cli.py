@@ -1,20 +1,22 @@
 """Command-line front end.
 
-Every subcommand writes ASCII CSV (or a JSON mirror of the same records)
-with LF line endings, byte-identical across repeated runs and across
-worker counts.  Exit codes: 0 success, 1 domain or I/O error, 2 usage.
+Every subcommand writes ASCII CSV with LF line endings (or JSON: a list of
+the same records, one object in sieve), byte-identical across repeated runs
+and across worker counts.  Exit codes: 0 success, 1 domain or I/O error, 2 usage.
 """
 
 import argparse
+import csv
 import json
 import os
 import random
 import sys
 from bisect import bisect_right
+from contextlib import contextmanager
 
 from . import billiards, exact, reduced, sieve
 from .errors import GoebelError
-from .fileio import replace_lines
+from .fileio import read_rows, replace_lines
 from .modarith import is_prime
 
 CACHE_ENV = "GOEBEL_CACHE"
@@ -24,15 +26,21 @@ def parse_krange(text: str) -> range:
     """"A..B" (inclusive) or a single "K"."""
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            r = range(int(lo), int(hi) + 1)
-        else:
-            r = range(int(lo), int(lo) + 1)
+        r = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad k range {text!r}") from None
     if len(r) == 0 or r.start < 1:
         raise argparse.ArgumentTypeError(f"bad k range {text!r}")
     return r
+
+
+def _int_at_least(lo: int):
+    """An argparse type for the integers >= lo; anything else is a usage error."""
+    def integer(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text}")
+        return int(text)
+    return integer
 
 
 def cache_dir(args) -> str:
@@ -43,64 +51,63 @@ def cache_dir(args) -> str:
     return os.path.join(os.path.expanduser("~"), ".local", "share", "goebel")
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """stdout for None or "-", else the file at path, LF-terminated ASCII."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            yield fh
 
 
 def write_rows(path, header, rows, fmt: str) -> None:
     """rows are tuples matching header; None fields serialize as empty/null."""
-    fh, close = _open_out(path)
-    try:
+    with _output(path) as fh:
         if fmt == "csv":
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
         else:
             records = [dict(zip(header, row)) for row in rows]
             fh.write(json.dumps(records, indent=2) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def write_text(path, lines) -> None:
-    fh, close = _open_out(path)
-    try:
+    with _output(path) as fh:
         for line in lines:
             fh.write(line + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 # ---------------------------------------------------------------- exact
 
-_CACHE_HEADER = "k,l,N,status,limit"
+def _parse_nk_row(line: str) -> tuple[int, int, int | None, list[str]]:
+    """k, l, N and the fields after status in a `k,l,N,status[,...]` row as exact writes it;
+    ValueError for a short row, N < 2, or a status that N does not imply."""
+    k_s, l_s, n_s, status, *rest = line.split(",")
+    n = int(n_s) if n_s else None
+    if status != ("exceeded" if n is None else "exact") or (n is not None and n < 2):
+        raise ValueError(f"not an exact row: {line!r}")
+    return int(k_s), int(l_s), n, rest
+
+
+def _parse_cache_row(line: str) -> exact.NkResult:
+    k, l, n, (limit_s,) = _parse_nk_row(line)
+    r = exact.NkResult(k=k, l=l, n=n, limit=int(limit_s))
+    if n is not None and n > r.limit:
+        raise ValueError(f"N above the row's limit: {line!r}")
+    return r
 
 
 def _load_nk_cache(path) -> dict:
-    cached = {}
     if not os.path.exists(path):
-        return cached
-    # bytes outside ASCII decode to U+FFFD, so a damaged number fails int()
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        next(fh, None)
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                k_s, l_s, n_s, status, limit_s = line.strip().split(",")
-                n = int(n_s) if n_s else None
-                r = exact.NkResult(k=int(k_s), l=int(l_s), n=n, limit=int(limit_s))
-            except ValueError:
-                raise GoebelError(f"damaged cache {path}, line {lineno}") from None
-            cached[r.k] = r
-    return cached
+        return {}
+    return {r.k: r for r in read_rows(path, _parse_cache_row, "cache")}
 
 
 def _save_nk_cache(path, cached: dict) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    lines = [_CACHE_HEADER]
+    lines = ["k,l,N,status,limit"]
     for k in sorted(cached):
         r = cached[k]
         n = "" if r.n is None else str(r.n)
@@ -135,22 +142,8 @@ def cmd_exact(args) -> int:
 # ---------------------------------------------------------------- stats
 
 def _read_dataset(path) -> list[tuple[int, int, int | None]]:
-    rows = []
-    # bytes outside ASCII decode to U+FFFD, so a damaged number fails int()
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        if next(fh, None) is None:
-            raise GoebelError(f"empty dataset {path}: no header line")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                # a row with fewer than four fields, as a torn write leaves, fails to unpack
-                k_s, l_s, n_s, _status = line.strip().split(",")[:4]
-                rows.append((int(k_s), int(l_s), int(n_s) if n_s else None))
-            except ValueError:
-                raise GoebelError(f"bad dataset row {path}, line {lineno}") from None
-    rows.sort()
-    return rows
+    # a cache file is a dataset too: its limit is one more field
+    return sorted((k, l, n) for k, l, n, _rest in read_rows(path, _parse_nk_row, "dataset"))
 
 
 def cmd_stats(args) -> int:
@@ -200,9 +193,8 @@ def _nth_sieved(k_lo: int, survivors: list[int], i: int) -> int:
 
 def cmd_sieve(args) -> int:
     sieve.check_range(args.k_lo, args.k_hi, args.p_max)
-    tables = {}
-    if args.tables and os.path.exists(args.tables):
-        tables = sieve.read_sieve_tables(args.tables)
+    known = args.tables and os.path.exists(args.tables)
+    tables = sieve.read_sieve_tables(args.tables) if known else {}
     tables = sieve.sieve_tables(args.p_max, args.l, tables, workers=args.threads)
     outcome = sieve.sieve_range(args.k_lo, args.k_hi, args.p_max, args.l, tables)
     if args.tables:
@@ -224,13 +216,8 @@ def cmd_sieve(args) -> int:
                 return 1
         print(f"spot-check OK ({len(sample)} sieved k confirmed)", file=sys.stderr)
     if args.format == "json":
-        payload = {
-            "k_lo": outcome.k_lo,
-            "k_hi": outcome.k_hi,
-            "bound": outcome.bound,
-            "survivors": outcome.survivors,
-        }
-        write_text(args.output, [json.dumps(payload, indent=2)])
+        # one object with the outcome's fields: k_lo, k_hi, bound, survivors
+        write_text(args.output, [json.dumps(vars(outcome), indent=2)])
     else:
         write_rows(args.output, ["k"], [(k,) for k in outcome.survivors], "csv")
     return 0
@@ -248,9 +235,9 @@ def cmd_jp(args) -> int:
     if args.classify is not None:
         rows = [(l, c.value) for l, c in enumerate(reduced.classify_all(args.classify))]
         write_rows(args.output, ["l", "classification"], rows, args.format)
-        return 0
-    rows = reduced.jp_ratio_table(args.p_max, args.p_min, workers=args.threads)
-    write_rows(args.output, ["p", "l_L", "l_R", "J_size", "ratio"], rows, args.format)
+    else:
+        rows = reduced.jp_ratio_table(args.p_max, args.p_min, workers=args.threads)
+        write_rows(args.output, ["p", "l_L", "l_R", "J_size", "ratio"], rows, args.format)
     return 0
 
 
@@ -307,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stats", help="statistics over a computed dataset")
     sp.add_argument("--dataset", required=True)
     mode = sp.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--mean-mod", type=int, metavar="D")
+    mode.add_argument("--mean-mod", type=_int_at_least(1), metavar="D")
     mode.add_argument("--records", action="store_true")
     mode.add_argument("--prime-share", action="store_true")
     _add_common(sp)
@@ -319,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-max", type=int, required=True)
     sp.add_argument("--l", type=int, default=2)
     sp.add_argument("--tables", default=None, help="sieve-table cache file")
-    sp.add_argument("--spot-check", type=int, default=0, metavar="N")
+    sp.add_argument("--spot-check", type=_int_at_least(0), default=0, metavar="N")
     sp.add_argument("--threads", type=int, default=1, help="worker processes")
     _add_common(sp, seed=True)
     sp.set_defaults(fn=cmd_sieve)
@@ -330,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_grid)
 
     sp = sub.add_parser("jp", help="left/right block boundaries and J_p sizes")
-    sp.add_argument("--p-max", type=int)
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--p-max", type=int)
+    mode.add_argument("--classify", type=int, metavar="P", help="diagnostic: classify every l for one prime")
     sp.add_argument("--p-min", type=int, default=13)
-    sp.add_argument("--classify", type=int, metavar="P", help="diagnostic: classify every l for one prime")
     sp.add_argument("--threads", type=int, default=1, help="worker processes")
     _add_common(sp)
     sp.set_defaults(fn=cmd_jp)
@@ -362,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "command", None) == "jp" and args.classify is None and args.p_max is None:
-        ap.error("jp requires --p-max or --classify")
-    if getattr(args, "mean_mod", None) is not None and args.mean_mod < 1:
-        ap.error("--mean-mod requires D >= 1")
     try:
         return args.fn(args)
     except GoebelError as exc:

@@ -1,6 +1,25 @@
-"""Whole-file replacement for the files the package keeps between runs."""
+"""The line files the package keeps between runs: one reader, one whole-file writer."""
 
 import os
+
+from .errors import GoebelError
+
+
+def read_rows(path, parse, what: str, header: bool = True):
+    """Yield parse(line) for each non-blank line of path, after its header line if any.
+
+    A ValueError from parse ends in a GoebelError that names the file and line;
+    bytes outside ASCII decode to U+FFFD, so a damaged number fails int().
+    """
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        if header and next(fh, None) is None:
+            raise GoebelError(f"empty {what} file {path}: no header line")
+        for lineno, line in enumerate(fh, start=2 if header else 1):
+            if line.strip():
+                try:
+                    yield parse(line.strip())
+                except ValueError:
+                    raise GoebelError(f"bad {what} row {path}, line {lineno}") from None
 
 
 def replace_lines(path, lines) -> None:

@@ -140,6 +140,8 @@ class QrTable:
         check_odd_prime(p)
         self.p = p
         bits = np.zeros(p, dtype=np.uint8)
+        # squared and reduced in place: no temporaries beside the 8-byte-per-value arange
         x = np.arange(1, (p + 1) // 2, dtype=np.int64)
-        bits[x * x % p] = 1
+        np.remainder(np.multiply(x, x, out=x), p, out=x)
+        bits[x] = 1
         self.bits = bits.tobytes()

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, GoebelError
-from .fileio import replace_lines
+from .errors import DomainError
+from .fileio import read_rows, replace_lines
 from .modarith import SIEVE_MAX, check_odd_prime, factorize, primes_in_range
 
 
@@ -193,12 +193,16 @@ def format_table_line(table: BadResidueTable) -> str:
 
 
 def parse_table_line(line: str) -> BadResidueTable:
+    """The table on one `p,l:a1;a2;...` line; ValueError if format_table_line cannot write it."""
     head, sep, tail = line.strip().partition(":")
-    if not sep:
-        raise ValueError(f"no ':' in table line {line!r}")
     p_s, _, l_s = head.partition(",")
-    bad = tuple(int(a) for a in tail.split(";") if a)
-    return BadResidueTable(p=int(p_s), l=int(l_s), bad=bad)
+    p, l = int(p_s), int(l_s)
+    bad = tuple(int(a) for a in tail.split(";")) if tail else ()
+    # each class is below the next, and the last below p - 1
+    ascending = all(0 <= a < b for a, b in zip(bad, bad[1:] + (p - 1,)))
+    if not sep or p < 3 or not 0 <= l < p or not ascending:
+        raise ValueError(f"not a table line: {line!r}")
+    return BadResidueTable(p=p, l=l, bad=bad)
 
 
 def write_sieve_tables(path, tables: dict) -> None:
@@ -207,14 +211,4 @@ def write_sieve_tables(path, tables: dict) -> None:
 
 
 def read_sieve_tables(path) -> dict:
-    tables = {}
-    # bytes outside ASCII decode to U+FFFD, so a damaged number fails int()
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    t = parse_table_line(line)
-                except ValueError:
-                    raise GoebelError(f"not a sieve tables file {path}, line {lineno}") from None
-                tables[(t.p, t.l)] = t
-    return tables
+    return {(t.p, t.l): t for t in read_rows(path, parse_table_line, "sieve tables", header=False)}

@@ -2,7 +2,11 @@
 
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import goebel
@@ -33,3 +37,26 @@ def test_bench_tracing_targets_and_readme_quick_tour_resolve():
     names = set(re.findall(r"\bgoebel\.(\w+)", tour))
     assert len(names) >= 7
     assert sorted(n for n in names if not hasattr(goebel, n)) == []
+
+
+def test_traced_sieve_run_records_tables_io_and_rows_once(tmp_path):
+    """bench/tracing.py wraps the file readers and writers by name and counts rows per call."""
+    from goebel.cli import main
+
+    tables = tmp_path / "tables.txt"
+    argv = ["sieve", "--k-lo", "2", "--k-hi", "400", "--p-max", "19", "--tables", str(tables)]
+    assert main(argv + ["-o", str(tmp_path / "first.csv")]) == 0
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    traced = [sys.executable, str(ROOT / "bench" / "tracing.py"), "--spans", str(spans_path)]
+    proc = subprocess.run(
+        [*traced, "--", *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    survivors = proc.stdout.splitlines()[1:]
+    assert proc.stdout == (tmp_path / "first.csv").read_text()
+    spans = json.loads(spans_path.read_text())["spans"]
+    names = [span[0] for span in spans]
+    assert names.count("sieve.tables_io") == 2  # read, then written back
+    assert "cli.write_text" not in names
+    assert [span[4] for span in spans if span[0] == "cli.write_rows"] == [{"rows": len(survivors)}]

@@ -23,12 +23,16 @@ def test_parse_krange():
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        run_cli("exact")
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli("no-such-command")
-    assert exc.value.code == 2
+    for argv in (
+        ("exact",),
+        ("no-such-command",),
+        ("sieve", "--k-lo", "2", "--k-hi", "10", "--p-max", "5", "--spot-check", "-1"),
+        ("sieve", "--k-lo", "2", "--k-hi", "10", "--p-max", "5", "--spot-check", "x"),
+        ("jp", "--p-max", "50", "--classify", "13"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2, argv
 
 
 def test_domain_error_exit_code(tmp_path):
@@ -91,7 +95,16 @@ def test_exact_cached_N_above_limit_renders_exceeded(tmp_path):
 def test_exact_damaged_cache_is_an_error(tmp_path, capsys):
     cache = tmp_path / "cache"
     cache.mkdir()
-    for line in (b"2,2,4", b"2,2,\xff,exact,50"):
+    for line in (
+        b"2,2,4",
+        b"2,2,\xff,exact,50",
+        b"3,2,1,exact,90",  # N below 2
+        b"2,2,43,exact,40",  # N above the row's own limit
+        b"2,2,43,done,50",
+        b"2,2,43,exceeded,50",
+        b"2,2,,exact,50",
+        b"2,2,43,exact,50,7",
+    ):
         (cache / "nk_l2.csv").write_bytes(b"k,l,N,status,limit\n" + line + b"\n")
         assert run_cli("exact", "--k", "2", "--limit", "50", "--cache-dir", str(cache)) == 1
         err = capsys.readouterr().err.splitlines()
@@ -195,6 +208,13 @@ def test_stats_records_and_means(tmp_path):
     row0 = lines[1 + 0].split(",")
     assert row0 == ["0", "1", "43.000000"]  # only k = 18 in range
 
+    # the cache file reads as the same dataset, its limit column aside
+    from_cache = tmp_path / "means-from-cache.csv"
+    assert run_cli(
+        "stats", "--dataset", str(cache / "nk_l2.csv"), "--mean-mod", "18", "-o", str(from_cache)
+    ) == 0
+    assert from_cache.read_bytes() == means.read_bytes()
+
     share = tmp_path / "share.csv"
     assert run_cli("stats", "--dataset", str(data), "--prime-share", "-o", str(share)) == 0
     body = share.read_text().splitlines()
@@ -243,7 +263,7 @@ def test_stats_mean_mod_rejects_nonpositive_modulus(tmp_path):
 
 def test_stats_bad_dataset_row_is_an_error(tmp_path, capsys):
     data = tmp_path / "bad.csv"
-    for row in (b"x,2,4,exact", b"\xff\xfe,2,4,exact"):
+    for row in (b"x,2,4,exact", b"\xff\xfe,2,4,exact", b"2,2,1,exact", b"2,2,,exact", b"2,2,9,?"):
         data.write_bytes(b"k,l,N,status\n4,2,97,exact\n" + row + b"\n")
         assert run_cli("stats", "--dataset", str(data), "--records") == 1
         err = capsys.readouterr().err.splitlines()
@@ -262,7 +282,19 @@ def test_stats_short_dataset_row_is_an_error(tmp_path, capsys):
 
 def test_sieve_tables_file_of_another_kind_is_an_error(tmp_path, capsys):
     tables = tmp_path / "nk.csv"
-    for body in (b"k,l,N,status\n2,2,43,exact\n", b"3,2:\n\xff\xfe\x00\x01\n"):
+    for body in (
+        b"k,l,N,status\n2,2,43,exact\n",
+        b"3,2:\n\xff\xfe\x00\x01\n",
+        b"5,2:7;99\n",  # classes above p - 2
+        b"5,2:-1\n",
+        b"5,2:3;1\n",  # classes not ascending
+        b"5,2:1;1\n",
+        b"5,2:1;;2\n",
+        b"1,0:\n",  # p below 3
+        b"5,5:\n",  # l above p - 1
+        b"5,-1:\n",
+        b"5,2\n",
+    ):
         tables.write_bytes(body)
         assert run_cli(
             "sieve", "--k-lo", "2", "--k-hi", "100", "--p-max", "19", "--tables", str(tables),

@@ -170,6 +170,21 @@ def test_qr_table_agrees_with_euler_backend():
             assert bits[a] == (pow(a, (p - 1) // 2, p) == 1), (a, p)
 
 
+def test_qr_table_peak_memory_is_a_few_bytes_per_unit_of_p():
+    import tracemalloc
+
+    p = 2000003
+    tracemalloc.start()
+    try:
+        bits = QrTable(p).bits
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * p  # squaring out of place peaked near 13 bytes per unit of p
+    assert sum(bits) == (p - 1) // 2
+    assert all(bits[a * a % p] for a in (1, 2, 1000, 999_999, (p - 1) // 2))
+
+
 def test_qr_table_rejects_non_odd_prime_sizes():
     for p in (4, 9, 1, 0):
         with pytest.raises(DomainError):
