@@ -10,9 +10,11 @@ which is what forces the middle block J_p to be non-empty.
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError, InconsistentConstraints, NoWitness
 from .modarith import QrTable, check_qualifying_prime, is_prime, qualifying_primes
+from .parallel import pmap
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,7 @@ class SignSequence:
         return self.values[n - 1]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     p: int
     l: int
     m: int
@@ -248,10 +249,7 @@ def verify_nonmultiplicativity(p: int) -> list[Witness]:
 
 def verify_range(p_min: int, p_max: int, workers: int = 1) -> list[Witness]:
     """verify_nonmultiplicativity over all qualifying primes in [p_min, p_max]."""
-    from .parallel import pmap
-
-    ps = qualifying_primes(p_min, p_max)
     out = []
-    for ws in pmap(verify_nonmultiplicativity, ps, workers=workers, chunksize=4):
+    for ws in pmap(verify_nonmultiplicativity, qualifying_primes(p_min, p_max), workers):
         out.extend(ws)
     return out

@@ -262,8 +262,7 @@ def cmd_billiards(args) -> int:
 
 def cmd_verify(args) -> int:
     witnesses = billiards.verify_range(args.p_min, args.p_max, workers=args.threads)
-    rows = [(w.p, w.l, w.m) for w in witnesses]
-    write_rows(args.output, ["p", "l", "m"], rows, args.format)
+    write_rows(args.output, ["p", "l", "m"], witnesses, args.format)
     return 0
 
 

@@ -17,10 +17,12 @@ checked against.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from math import factorial, gcd
 
 from .errors import DomainError
 from .modarith import cumulative_product
+from .parallel import pmap
 
 # Covers the largest breakdown point known for k <= 10^7 (9011) with slack.
 DEFAULT_N_LIMIT = 12000
@@ -119,17 +121,10 @@ def exact_N(k: int, l: int, n_limit: int = DEFAULT_N_LIMIT) -> NkResult:
         length = min(2 * length, n_limit)
 
 
-def _exact_task(args: tuple[int, int, int]) -> NkResult:
-    k, l, n_limit = args
-    return exact_N(k, l, n_limit)
-
-
 def exact_N_range(ks, l: int, n_limit: int = DEFAULT_N_LIMIT, workers: int = 1) -> list[NkResult]:
     """exact_N over many k, optionally across worker processes.
 
     Results come back ordered by the input sequence regardless of worker
     count or scheduling.
     """
-    from .parallel import pmap
-
-    return pmap(_exact_task, [(k, l, n_limit) for k in ks], workers=workers)
+    return pmap(partial(exact_N, l=l, n_limit=n_limit), ks, workers)

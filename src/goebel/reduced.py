@@ -26,11 +26,13 @@ and `classify_all` use it.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
 from .modarith import QrTable, check_odd_prime, check_qualifying_prime, qualifying_primes
+from .parallel import pmap
 
 
 class Classification(Enum):
@@ -123,11 +125,9 @@ def scan_two_in_jp(p_max: int, workers: int = 1) -> list[int]:
 
     A single walk per prime; no binary search involved.
     """
-    from .parallel import pmap
-
     if p_max < 13:
         raise DomainError(f"scan_two_in_jp requires p_max >= 13, got {p_max}")
-    hits = pmap(_two_in_jp_task, qualifying_primes(13, p_max), workers=workers, chunksize=64)
+    hits = pmap(_two_in_jp_task, qualifying_primes(13, p_max), workers)
     return [p for p in hits if p is not None]
 
 
@@ -149,7 +149,10 @@ _SCALAR_LANES = 8
 def _chi_segment(p: int) -> np.ndarray:
     """int8 table S of length p + 1: S[x] = chi(x), and S[0] = S[p] = 0."""
     seg = np.zeros(p + 1, dtype=np.int8)
-    seg[1:p] = np.where(np.frombuffer(QrTable(p).bits, dtype=np.uint8)[1:], 1, -1)
+    chi = seg[1:p]
+    chi[:] = np.frombuffer(QrTable(p).bits, dtype=np.uint8)[1:]
+    chi *= 2
+    chi -= 1
     return seg
 
 
@@ -222,11 +225,10 @@ def _walk_runs(jobs: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.nd
     return [(start[a:b], final[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _jp_sides(task: tuple[list[tuple[int, int]], int]) -> list[int | None]:
+def _jp_sides(sides: list[tuple[int, int]], w: int) -> list[int | None]:
     """l_L (side 0) or l_R (side 1) of each (p, side) job, walking a window
     of w even starts at that end of [0, p - 1]; None where the window does
     not settle it."""
-    sides, w = task
     jobs = [(p, 0, min(w, p - 1)) if side == 0 else (p, max(p - 1 - w, 0), p - 1)
             for p, side in sides]
     out = []
@@ -263,14 +265,12 @@ def _jp_lockstep(primes: list[int], workers: int) -> list[JpSummary]:
     [0, p - 1]; a side the window does not settle doubles it and walks
     again.  A window over all starts always settles.
     """
-    from .parallel import pmap
-
     pending = [(p, side) for p in primes for side in (0, 1)]
     found = {}
     w = JP_WINDOW
     while pending:
         batches = _byte_batches(pending)
-        results = pmap(_jp_sides, [(b, w) for b in batches], workers=workers)
+        results = pmap(partial(_jp_sides, w=w), batches, workers)
         pending = []
         for batch, values in zip(batches, results):
             for job, value in zip(batch, values):

@@ -15,13 +15,14 @@ prime_trace_mod_p directly.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import DomainError
 from .fileio import read_rows, replace_lines
 from .modarith import SIEVE_MAX, check_odd_prime, factorize, primes_in_range
+from .parallel import pmap
 
 
 def prime_trace_mod_p(k_res: int, l_res: int, p: int) -> int:
@@ -68,6 +69,12 @@ def _prime_ctx(p: int):
     return rpow, dlog, inv
 
 
+def _check_trace_prime(p: int) -> None:
+    """The primes _trace can take: (p-1)^3 must fit in int64, so p <= 2^21."""
+    if (p - 1) ** 3 > np.iinfo(np.int64).max:
+        raise DomainError(f"the vectorized trace overflows int64 for primes above 2^21, got {p}")
+
+
 def _trace(p: int, U, E) -> np.ndarray:
     """prime_trace_mod_p for start values U against exponents E, broadcast.
 
@@ -75,8 +82,7 @@ def _trace(p: int, U, E) -> np.ndarray:
     as exponent p-1).  Powers come from the discrete-log tables; the
     largest intermediate is (p-1)^3, which must fit in int64.
     """
-    if (p - 1) ** 3 > np.iinfo(np.int64).max:
-        raise DomainError(f"the vectorized trace overflows int64 for p = {p} > 2^21")
+    _check_trace_prime(p)
     rpow, dlog, inv = _prime_ctx(p)
     E = np.asarray(E, dtype=np.int64) % (p - 1)
     U = np.asarray(U, dtype=np.int64)
@@ -117,18 +123,12 @@ class SieveOutcome:
     survivors: list[int]
 
 
-def _table_task(args) -> BadResidueTable:
-    p, l = args
-    return bad_residues(p, l)
-
-
 def sieve_tables(p_max: int, l: int, tables=None, workers: int = 1) -> dict:
     """Bad-residue tables for all odd primes <= p_max, reusing any given."""
-    from .parallel import pmap
-
+    _check_trace_prime(p_max)
     tables = dict(tables) if tables else {}
-    todo = [(p, l % p) for p in primes_in_range(3, p_max) if (p, l % p) not in tables]
-    for t in pmap(_table_task, todo, workers=workers):
+    todo = [p for p in primes_in_range(3, p_max) if (p, l % p) not in tables]
+    for t in pmap(partial(bad_residues, l=l), todo, workers):
         tables[(t.p, t.l)] = t
     return tables
 
@@ -139,14 +139,13 @@ def check_range(k_lo: int, k_hi: int, p_max: int) -> None:
         raise DomainError(f"need 2 <= k_lo <= k_hi, got {(k_lo, k_hi)}")
     if p_max < 3:
         raise DomainError(f"need p_max >= 3, got {p_max}")
+    _check_trace_prime(p_max)
     size = k_hi - k_lo + 1
     if size > SIEVE_MAX:
         raise DomainError(f"a k range of {size} values requested; sieving stops at {SIEVE_MAX}")
 
 
-def sieve_range(
-    k_lo: int, k_hi: int, p_max: int, l: int, tables=None, workers: int = 1
-) -> SieveOutcome:
+def sieve_range(k_lo: int, k_hi: int, p_max: int, l: int, tables=None) -> SieveOutcome:
     """Cross off k in [k_lo, k_hi] whose class is bad for some odd prime <= p_max.
 
     One numpy bool array over the range, each bad class crossed off with a
@@ -154,7 +153,7 @@ def sieve_range(
     ints for any k_lo.
     """
     check_range(k_lo, k_hi, p_max)
-    tables = sieve_tables(p_max, l, tables, workers=workers)
+    tables = sieve_tables(p_max, l, tables)
     alive = np.ones(k_hi - k_lo + 1, dtype=bool)
     primes = primes_in_range(3, p_max)
     for p in primes:

@@ -226,7 +226,7 @@ def test_lockstep_jp_matches_scalar_below_3000():
 
 def test_lockstep_jp_matches_scalar_near_1e5_with_a_second_round():
     # the first windows do not settle l_L of 99881 or l_R of 99901
-    first = reduced._jp_sides(([(99881, 0), (99901, 1), (99989, 0), (99989, 1)], reduced.JP_WINDOW))
+    first = reduced._jp_sides([(99881, 0), (99901, 1), (99989, 0), (99989, 1)], reduced.JP_WINDOW)
     assert first[:2] == [None, None] and None not in first[2:]
     primes = qualifying_primes(5 * 10 ** 4, 10 ** 5)
     sample = sorted(random.Random(10).sample(primes[:-3], 4)) + [99881, 99901, 99989]
@@ -243,10 +243,29 @@ def test_lockstep_jp_gallops_from_a_tiny_window(monkeypatch):
     primes = qualifying_primes(13, 1500)
     want = [compute_jp(p) for p in primes]
     # windows {0, 2} and {p - 3, p - 1} settle only l_L = 2 and l_R = p - 1
-    first = reduced._jp_sides(([(p, s) for p in primes for s in (0, 1)], 2))
+    first = reduced._jp_sides([(p, s) for p in primes for s in (0, 1)], 2)
     assert first[0::2] == [s.l_L if s.l_L == 2 else None for s in want]
     assert first[1::2] == [s.l_R if s.l_R == s.p - 1 else None for s in want]
     assert jp_summaries(13, 1500) == want
+
+
+def test_walk_tables_peak_memory_is_a_few_bytes_per_unit_of_p():
+    import tracemalloc
+
+    # two jobs on one prime, as the two sides of a J_p search make; their
+    # lanes start on the barrier at 0, so the tables are built but no step
+    # runs: the tables set the peak, and tracing the steps of the two side
+    # windows would take seconds
+    p = 2000029
+    tracemalloc.start()
+    try:
+        runs = reduced._walk_runs([(p, 0, 0), (p, 0, 0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an int64 temporary for the +-1 table peaked at 12 bytes per unit of p
+    assert peak < 10.5 * p
+    assert [(list(starts), list(finals)) for starts, finals in runs] == [([0], [0])] * 2
 
 
 def test_lockstep_batches_split_by_table_bytes(monkeypatch):

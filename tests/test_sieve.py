@@ -97,6 +97,25 @@ def test_vector_trace_rejects_primes_that_overflow_int64():
     assert _prime_ctx.cache_info().currsize == 0
 
 
+def test_sieve_rejects_a_p_max_the_trace_cannot_take_before_any_table(monkeypatch, capsys):
+    # without the check, tables for all 155,610 primes below 2^21 come first
+    from goebel import sieve
+    from goebel.cli import main
+
+    def no_trace(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(sieve, "_trace", no_trace)
+    assert main(["sieve", "--k-lo", "2", "--k-hi", "10", "--p-max", "2097169"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "2097169" in err[0]
+    with pytest.raises(DomainError):
+        sieve_tables(2097169, 2)
+    # p_max = 2^21 is allowed: with every table given, none is built
+    given = {(p, 2 % p): None for p in primes_up_to(2 ** 21)[1:]}
+    assert sieve_tables(2 ** 21, 2, given) == given
+
+
 def test_bad_residues_class_zero_uses_positive_exponent():
     # the class-0 entry must describe actual k = p-1, 2(p-1), ...; the
     # literal zero exponent is a different recurrence
