@@ -61,16 +61,30 @@ def _output(path):
             yield fh
 
 
+def _json_value(v) -> str:
+    # json.dumps writes an int as str does; the check skips the encoder for most fields
+    return str(v) if type(v) is int else json.dumps(v)
+
+
 def write_rows(path, header, rows, fmt: str) -> None:
-    """rows are tuples matching header; None fields serialize as empty/null."""
+    """rows are tuples of scalars matching header; None fields serialize as empty/null.
+
+    JSON is written one record at a time, with the bytes of
+    json.dumps(records, indent=2) + "\\n" for the list of records.
+    """
     with _output(path) as fh:
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
-        else:
-            records = [dict(zip(header, row)) for row in rows]
-            fh.write(json.dumps(records, indent=2) + "\n")
+            return
+        keys = [f"    {json.dumps(key)}: " for key in header]
+        sep = "[\n"
+        for row in rows:
+            fields = ",\n".join(k + _json_value(v) for k, v in zip(keys, row))
+            fh.write(f"{sep}  {{\n{fields}\n  }}")
+            sep = ",\n"
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 def write_text(path, lines) -> None:
@@ -268,9 +282,11 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
-def _add_common(sp, cache=False, seed=False):
+def _add_common(sp, cache=False, seed=False, threads=False):
     sp.add_argument("-o", "--output", default="-", help="output path, '-' for stdout")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    if threads:
+        sp.add_argument("--threads", type=_int_at_least(1), default=1, help="worker processes")
     if cache:
         sp.add_argument("--cache-dir", default=None, help=f"cache directory (or ${CACHE_ENV})")
     if seed:
@@ -286,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, default=2)
     sp.add_argument("--limit", type=int, default=exact.DEFAULT_N_LIMIT)
     sp.add_argument("--no-cache", action="store_true")
-    sp.add_argument("--threads", type=int, default=1, help="worker processes")
-    _add_common(sp, cache=True)
+    _add_common(sp, cache=True, threads=True)
     sp.set_defaults(fn=cmd_exact)
 
     sp = sub.add_parser("stats", help="statistics over a computed dataset")
@@ -306,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, default=2)
     sp.add_argument("--tables", default=None, help="sieve-table cache file")
     sp.add_argument("--spot-check", type=_int_at_least(0), default=0, metavar="N")
-    sp.add_argument("--threads", type=int, default=1, help="worker processes")
-    _add_common(sp, seed=True)
+    _add_common(sp, seed=True, threads=True)
     sp.set_defaults(fn=cmd_sieve)
 
     sp = sub.add_parser("grid", help="non-integral (k, l) pairs for one prime")
@@ -320,14 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--p-max", type=int)
     mode.add_argument("--classify", type=int, metavar="P", help="diagnostic: classify every l for one prime")
     sp.add_argument("--p-min", type=int, default=13)
-    sp.add_argument("--threads", type=int, default=1, help="worker processes")
-    _add_common(sp)
+    _add_common(sp, threads=True)
     sp.set_defaults(fn=cmd_jp)
 
     sp = sub.add_parser("two-in-jp", help="primes whose middle block starts at l = 2")
     sp.add_argument("--p-max", type=int, required=True)
-    sp.add_argument("--threads", type=int, default=1, help="worker processes")
-    _add_common(sp)
+    _add_common(sp, threads=True)
     sp.set_defaults(fn=cmd_two_in_jp)
 
     sp = sub.add_parser("billiards", help="dump billiard sign sequences")
@@ -339,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="machine-verify the non-multiplicativity theorem")
     sp.add_argument("--p-max", type=int, required=True)
     sp.add_argument("--p-min", type=int, default=13)
-    sp.add_argument("--threads", type=int, default=1, help="worker processes")
-    _add_common(sp)
+    _add_common(sp, threads=True)
     sp.set_defaults(fn=cmd_verify)
 
     return ap

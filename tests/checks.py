@@ -2,15 +2,16 @@
 
 The full reduced walk with its zigzag test, the linear-scan J_p oracle,
 the billiard wall sign psi, the b-sequence symmetry identities, the a = b
-consistency check, and the exponent representative of a residue class.
+consistency check, the scalar witness search with its O(1) b evaluator,
+and the exponent representative of a residue class.
 They check the library against the paper's lemmas; the library itself
 never calls them.
 """
 
 from dataclasses import dataclass
 
-from goebel.billiards import _check_pl, construct_a, construct_b
-from goebel.errors import DomainError
+from goebel.billiards import Witness, _check_pl, construct_a, construct_b
+from goebel.errors import DomainError, NoWitness
 from goebel.modarith import QrTable, check_qualifying_prime
 from goebel.reduced import JpSummary, _check_start, final_value
 
@@ -146,6 +147,49 @@ def a_equals_b_consistency(p: int, l: int) -> bool:
         return all(v == 1 for v in a.values)
     b = construct_b(l, ((p - 1) // 2) % (l + 1))
     return all(a.value(n) == b.value(n) for n in range(1, p))
+
+
+def b_query(l: int, s: int):
+    """O(1) evaluator for the b sequence, from its propagation chain.
+
+    Walking x -> x + (2s+1) mod (l+1) flips the sign at every step except
+    the one leaving residue 0, so b at chain position j is (-1)^j before
+    the zero and (-1)^(j-1) after it.
+    """
+    L1 = l + 1
+    if L1 == 1:
+        return lambda n: 1
+    inv = pow(2 * s + 1, -1, L1)
+    j0 = -inv % L1  # chain position of residue 0
+
+    def query(n: int) -> int:
+        j = (n % L1 - 1) * inv % L1
+        return -1 if (j + (j > j0)) & 1 else 1
+
+    return query
+
+
+def scalar_witnesses(p: int) -> list[Witness]:
+    """Scalar reference for verify_nonmultiplicativity: one l at a time, one n or m at a time."""
+    check_qualifying_prime(p)
+    bits = QrTable(p).bits
+    half = (p - 1) // 2
+    witnesses = []
+    for l in range(2, p - 2, 2):
+        query = b_query(l, half % (l + 1))
+        for n in range(1, p):
+            if (1 if bits[n] else -1) != query(n):
+                break
+        else:
+            raise NoWitness(f"Legendre sequence equals the sign sequence for (p={p}, l={l})")
+        q2 = query(2)
+        for m in range(2, (p - 3) // 2 + 1):
+            if query(2 * m) != q2 * query(m):
+                witnesses.append(Witness(p=p, l=l, m=m))
+                break
+        else:
+            raise NoWitness(f"no multiplicativity witness for (p={p}, l={l})")
+    return witnesses
 
 
 def class_exponent(a: int, p: int) -> int:

@@ -12,11 +12,21 @@ from goebel import (
     empty_iff_conditions,
     primes_in_range,
     verify_nonmultiplicativity,
+    verify_range,
 )
-from goebel.billiards import _b_query
-from goebel.errors import DomainError
+from goebel import billiards
+from goebel.errors import DomainError, NoWitness
 
-from .checks import a_equals_b_consistency, check_b_symmetries, psi, reduced_trace, zigzag
+from . import checks
+from .checks import (
+    a_equals_b_consistency,
+    b_query,
+    check_b_symmetries,
+    psi,
+    reduced_trace,
+    scalar_witnesses,
+    zigzag,
+)
 from .goldens import A_37_12_FIRST_HALF, B_2_0, B_8_2, SIGMA_37_12
 
 
@@ -224,7 +234,7 @@ def test_b_query_matches_construction():
         for s in range(l + 1):
             if gcd(2 * s + 1, l + 1) != 1:
                 continue
-            q = _b_query(l, s)
+            q = b_query(l, s)
             b = construct_b(l, s)
             assert all(q(n) == b.value(n) for n in range(-5, 3 * l + 5)), (l, s)
 
@@ -323,7 +333,7 @@ def test_verify_nonmultiplicativity_examples():
         witnesses = verify_nonmultiplicativity(p)
         assert [w.l for w in witnesses] == list(range(2, p - 2, 2))
         for w in witnesses:
-            q = _b_query(w.l, ((p - 1) // 2) % (w.l + 1))
+            q = b_query(w.l, ((p - 1) // 2) % (w.l + 1))
             assert q(2 * w.m) != q(2) * q(w.m)
             assert 2 * w.m <= p - 3
 
@@ -340,3 +350,50 @@ def test_verify_nonmultiplicativity_rejects_bad_p():
     for p in (5, 7, 11, 15):
         with pytest.raises(DomainError):
             verify_nonmultiplicativity(p)
+
+
+# ------------------------------------------------------------- witness kernel
+
+def test_witness_kernel_matches_scalar_oracle():
+    for lo, hi in ((13, 3000), (9000, 10 ** 4)):
+        want = [w for p in primes_in_range(lo, hi) if p % 4 == 1 for w in scalar_witnesses(p)]
+        assert verify_range(lo, hi) == want, (lo, hi)
+    assert 49993 % 4 == 1
+    assert verify_nonmultiplicativity(49993) == scalar_witnesses(49993)
+
+
+def test_witness_batches_split_mid_range(monkeypatch):
+    want = verify_range(13, 200)
+    monkeypatch.setattr(billiards, "WITNESS_BATCH_ROWS", 3)
+    assert billiards._row_batches([13, 17]) == [
+        [(13, 2, 6)], [(13, 8, 10), (17, 2, 2)], [(17, 4, 8)], [(17, 10, 14)]
+    ]
+    for workers in (1, 2):
+        assert verify_range(13, 200, workers=workers) == want, workers
+
+
+def test_witness_kernel_raises_when_chi_equals_b(monkeypatch):
+    class ChiEqualsB:
+        """A residue table whose chi is the b sequence of l = 2."""
+
+        def __init__(self, p):
+            q = b_query(2, ((p - 1) // 2) % 3)
+            self.bits = bytes([0] + [q(n) == 1 for n in range(1, p)])
+
+    monkeypatch.setattr(billiards, "QrTable", ChiEqualsB)
+    monkeypatch.setattr(checks, "QrTable", ChiEqualsB)
+    message = r"Legendre sequence equals the sign sequence for \(p=13, l=2\)"
+    for run in (lambda: verify_nonmultiplicativity(13), lambda: verify_range(13, 60),
+                lambda: scalar_witnesses(13)):
+        with pytest.raises(NoWitness, match=message):
+            run()
+
+
+def test_witness_rows_share_one_p_per_prime(monkeypatch):
+    ws = verify_nonmultiplicativity(37)
+    assert all(w.p is ws[0].p for w in ws)
+    monkeypatch.setattr(billiards, "WITNESS_BATCH_ROWS", 5)
+    rows = verify_range(13, 100)
+    for p in {w.p for w in rows}:
+        ws = [w for w in rows if w.p == p]
+        assert all(w.p is ws[0].p for w in ws), p

@@ -29,6 +29,12 @@ def test_usage_error_exit_code():
         ("sieve", "--k-lo", "2", "--k-hi", "10", "--p-max", "5", "--spot-check", "-1"),
         ("sieve", "--k-lo", "2", "--k-hi", "10", "--p-max", "5", "--spot-check", "x"),
         ("jp", "--p-max", "50", "--classify", "13"),
+        ("verify", "--p-max", "20", "--threads", "0"),
+        ("verify", "--p-max", "20", "--threads", "-3"),
+        ("exact", "--k", "2", "--threads", "0"),
+        ("sieve", "--k-lo", "2", "--k-hi", "10", "--p-max", "5", "--threads", "-3"),
+        ("jp", "--p-max", "50", "--threads", "0"),
+        ("two-in-jp", "--p-max", "50", "--threads", "-3"),
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
@@ -152,6 +158,17 @@ def test_exact_json_mirror(tmp_path):
         {"k": 6, "l": 2, "N": 19, "status": "exact"},
         {"k": 7, "l": 2, "N": 239, "status": "exact"},
     ]
+
+
+def test_json_rows_are_streamed_as_one_dumped_list(tmp_path):
+    from goebel.cli import write_rows
+
+    header = ["p", "l", "m"]
+    for rows in ([], [(13, None, 2)], [(13, 2, 2), (17, None, "a\nb"), (29, 4.5, None)]):
+        out = tmp_path / "rows.json"
+        write_rows(str(out), header, rows, "json")
+        records = [dict(zip(header, row)) for row in rows]
+        assert out.read_bytes() == (json.dumps(records, indent=2) + "\n").encode("ascii"), rows
 
 
 def test_exact_threads_deterministic(tmp_path):
