@@ -8,7 +8,9 @@ final theorem checked here: a is never completely multiplicative at 2,
 which is what forces the middle block J_p to be non-empty.
 """
 
+import gc
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from math import gcd
 from typing import NamedTuple
@@ -247,6 +249,14 @@ def _first_hits(test, lo: int, hi: np.ndarray) -> np.ndarray:
     return first
 
 
+@lru_cache(maxsize=1)
+def _residue_bits(table, p: int) -> np.ndarray:
+    """table(p).bits as uint8.  The last prime's bits are kept, as the next
+    batch usually starts with more rows of it; the table class is part of
+    the key, so a substituted class never gets another's bits."""
+    return np.frombuffer(table(p).bits, dtype=np.uint8)
+
+
 def _witness_batch(jobs: list[tuple[int, int, int]]) -> np.ndarray:
     """The least witness m of every row (p, l), l = lo, lo+2, ..., hi, of each job (p, lo, hi).
 
@@ -268,7 +278,7 @@ def _witness_batch(jobs: list[tuple[int, int, int]]) -> np.ndarray:
     inv = _inverses(P % L1, L1)
     j0 = -inv % L1
     # bits of every job's prime in one table; a row reads chi(n) at off + n
-    bits = np.concatenate([np.frombuffer(QrTable(p).bits, dtype=np.uint8) for p in ps])
+    bits = np.concatenate([_residue_bits(QrTable, p) for p in ps])
     off = np.repeat(np.cumsum([0] + ps[:-1]), counts)
 
     def chain(rows, n):
@@ -327,12 +337,20 @@ def _witnesses(primes: list[int], workers: int) -> list[Witness]:
     # the rows share one int object per p and one per even l, which keeps them small
     evens = list(range(0, primes[-1] - 2, 2)) if primes else []
     out = []
-    for batch, ms in zip(batches, pmap(_witness_batch, batches, workers)):
-        a = 0
-        for p, lo, hi in batch:
-            b = a + (hi - lo) // 2 + 1
-            out.extend(map(Witness, repeat(p), evens[lo // 2 : hi // 2 + 1], ms[a:b].tolist()))
-            a = b
+    # the rows hold no cycles, and the collector would scan them again and
+    # again as they are made: it is paused, and left as it was found
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for batch, ms in zip(batches, pmap(_witness_batch, batches, workers)):
+            a = 0
+            for p, lo, hi in batch:
+                b = a + (hi - lo) // 2 + 1
+                out.extend(map(Witness, repeat(p), evens[lo // 2 : hi // 2 + 1], ms[a:b].tolist()))
+                a = b
+    finally:
+        if enabled:
+            gc.enable()
     return out
 
 

@@ -53,9 +53,27 @@ def cache_dir(args) -> str:
 
 @contextmanager
 def _output(path):
-    """stdout for None or "-", else the file at path, LF-terminated ASCII."""
+    """stdout for None or "-", else the file at path, LF-terminated ASCII.
+
+    While stdout is written it does not write through: under
+    PYTHONUNBUFFERED its rows would otherwise each be one write(2), so they
+    are handed on in blocks.  Its setting is restored, and stdout flushed,
+    however the writing ends.
+    """
     if path in (None, "-"):
-        yield sys.stdout
+        stream = sys.stdout
+        # a stdout replaced by, say, an io.StringIO has no such setting
+        write_through = getattr(stream, "write_through", False)
+        if write_through:
+            stream.reconfigure(write_through=False)
+        try:
+            yield stream
+        finally:
+            try:
+                stream.flush()
+            finally:
+                if write_through:
+                    stream.reconfigure(write_through=True)
     else:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             yield fh
@@ -85,6 +103,18 @@ def write_rows(path, header, rows, fmt: str) -> None:
             fh.write(f"{sep}  {{\n{fields}\n  }}")
             sep = ",\n"
         fh.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
+def write_outcome_json(path, outcome: sieve.SieveOutcome) -> None:
+    """The bytes of json.dumps(vars(outcome), indent=2) + "\\n", one survivor at a time."""
+    with _output(path) as fh:
+        fh.write(f'{{\n  "k_lo": {outcome.k_lo},\n  "k_hi": {outcome.k_hi},\n'
+                 f'  "bound": {outcome.bound},\n  "survivors": ')
+        sep = "[\n    "
+        for k in outcome.survivors:
+            fh.write(f"{sep}{k}")
+            sep = ",\n    "
+        fh.write("[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n")
 
 
 def write_text(path, lines) -> None:
@@ -230,8 +260,7 @@ def cmd_sieve(args) -> int:
                 return 1
         print(f"spot-check OK ({len(sample)} sieved k confirmed)", file=sys.stderr)
     if args.format == "json":
-        # one object with the outcome's fields: k_lo, k_hi, bound, survivors
-        write_text(args.output, [json.dumps(vars(outcome), indent=2)])
+        write_outcome_json(args.output, outcome)
     else:
         write_rows(args.output, ["k"], [(k,) for k in outcome.survivors], "csv")
     return 0

@@ -17,10 +17,11 @@ import numpy as np
 from .errors import DomainError
 
 # Both range sieves take an n-byte flag array for n values, bounded here to
-# 100 MB.  What they return is not bounded by it: sieve_range's survivors
-# cost about 50 bytes each while they are read back (an int64 index and a
-# list of ints), so a 10^8 range where every k survives (l = 1) needs
-# about 5 GB.
+# 100 MB: the prime sieve marks one, and sieve_range marks a bitmap of n/8
+# bytes and unpacks it to one to read the survivors back.  What they
+# return is not bounded by it: sieve_range's survivors cost about 50 bytes
+# each while they are read back (an int64 index and a list of ints), so a
+# 10^8 range where every k survives (l = 1) needs about 5 GB.
 SIEVE_MAX = 10 ** 8
 # Trial division below this bound tries at most 5 * 10^7 divisors.
 _IS_PRIME_MAX = 10 ** 16

@@ -16,6 +16,7 @@ prime_trace_mod_p directly.
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from math import gcd
 
 import numpy as np
 
@@ -145,22 +146,69 @@ def check_range(k_lo: int, k_hi: int, p_max: int) -> None:
         raise DomainError(f"a k range of {size} values requested; sieving stops at {SIEVE_MAX}")
 
 
+# Bytes per row of the periodic AND in sieve_range: about 4 KB, so that each
+# prime's pattern is ANDed in by one numpy call over few, long rows.
+_ROW_BYTES = 4096
+# Costs counted in single-byte strided writes, about 8 ns each once every
+# write lands on a new cache line (2 cores, numpy 2.4): one strided slice
+# costs about 128 of them, and building and ANDing in one prime's pattern at
+# least 4096.  sieve_range crosses a prime's classes off with strided slices
+# when that is the cheaper of the two, as in a short range with a large p_max.
+_SLICE_WRITES = 128
+_PATTERN_WRITES = 4096
+
+
+def _and_good_classes(alive: np.ndarray, k_lo: int, m: int, bad) -> None:
+    """Clear the bits of every k = k_lo + i in a bad class mod m from the packed bitmap alive.
+
+    Bit i (numpy's big-endian bit order) stands for k_lo + i.  The bits of
+    the good classes repeat every lcm(m, 8) bits, a whole number of bytes,
+    so one packed row of that pattern, widened to about _ROW_BYTES and never
+    longer than alive, is ANDed into every row of a 2-D view of alive, and
+    its head into the tail.  Building the row costs O(min(m, n) + len(bad))
+    for n bits, or O(_ROW_BYTES) if that is more and n allows it.
+    """
+    period = m // gcd(m, 8)  # bytes in lcm(m, 8) bits
+    row = min(len(alive), period * max(1, _ROW_BYTES // period))
+    good = np.ones(min(m, 8 * row), dtype=bool)
+    # position of class a from k_lo; k_lo is reduced first, as it may pass int64
+    pos = (np.array(bad, dtype=np.int64) - k_lo % m) % m
+    good[pos[pos < len(good)]] = False
+    pattern = np.packbits(np.tile(good, -(-8 * row // len(good)))[: 8 * row])
+    whole = len(alive) - len(alive) % row
+    rows = alive[:whole].reshape(-1, row)
+    rows &= pattern
+    alive[whole:] &= pattern[: len(alive) - whole]
+
+
 def sieve_range(k_lo: int, k_hi: int, p_max: int, l: int, tables=None) -> SieveOutcome:
     """Cross off k in [k_lo, k_hi] whose class is bad for some odd prime <= p_max.
 
-    One numpy bool array over the range, each bad class crossed off with a
-    strided slice; survivors are read back in ascending order, as exact
-    ints for any k_lo.
+    One packed bitmap over the range, one bit per k: each prime ANDs in its
+    periodic pattern of good classes with one numpy call.  The bitmap is
+    then unpacked to a flag per k, and a prime whose bad classes hit few k,
+    as in a short range with a large p_max, crosses them off there with
+    strided slices instead.  Survivors are read back in ascending order, as
+    exact ints for any k_lo.
     """
     check_range(k_lo, k_hi, p_max)
     tables = sieve_tables(p_max, l, tables)
-    alive = np.ones(k_hi - k_lo + 1, dtype=bool)
+    n = k_hi - k_lo + 1
+    alive = np.full(-(-n // 8), 0xFF, dtype=np.uint8)
     primes = primes_in_range(3, p_max)
+    strided = []
     for p in primes:
-        step = p - 1
-        for a in tables[(p, l % p)].bad:
-            alive[(a - k_lo) % step :: step] = False
-    survivors = [k_lo + int(i) for i in np.flatnonzero(alive)]
+        m, bad = p - 1, tables[(p, l % p)].bad
+        # each class hits at most n // m + 1 of the k
+        if len(bad) * (_SLICE_WRITES + n // m + 1) <= _PATTERN_WRITES:
+            strided.append((m, bad))
+        else:
+            _and_good_classes(alive, k_lo, m, bad)
+    flags = np.unpackbits(alive, count=n)
+    for m, bad in strided:
+        for a in bad:
+            flags[(a - k_lo) % m :: m] = 0
+    survivors = [k_lo + int(i) for i in np.flatnonzero(flags)]
     return SieveOutcome(k_lo=k_lo, k_hi=k_hi, bound=primes[-1] if primes else 0, survivors=survivors)
 
 

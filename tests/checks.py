@@ -3,17 +3,21 @@
 The full reduced walk with its zigzag test, the linear-scan J_p oracle,
 the billiard wall sign psi, the b-sequence symmetry identities, the a = b
 consistency check, the scalar witness search with its O(1) b evaluator,
-and the exponent representative of a residue class.
+the exponent representative of a residue class, and the strided-slice
+sieve marker.
 They check the library against the paper's lemmas; the library itself
 never calls them.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from goebel.billiards import Witness, _check_pl, construct_a, construct_b
 from goebel.errors import DomainError, NoWitness
-from goebel.modarith import QrTable, check_qualifying_prime
+from goebel.modarith import QrTable, check_qualifying_prime, primes_in_range
 from goebel.reduced import JpSummary, _check_start, final_value
+from goebel.sieve import check_range, sieve_tables
 
 
 @dataclass(frozen=True)
@@ -196,3 +200,16 @@ def class_exponent(a: int, p: int) -> int:
     """Exponent representative for residue class a of actual k >= 1."""
     a %= p - 1
     return a if a else p - 1
+
+
+def strided_sieve(k_lo: int, k_hi: int, p_max: int, l: int, tables=None) -> list[int]:
+    """Reference for sieve_range's survivors: one bool flag per k, each bad
+    class crossed off with a strided slice."""
+    check_range(k_lo, k_hi, p_max)
+    tables = sieve_tables(p_max, l, tables)
+    alive = np.ones(k_hi - k_lo + 1, dtype=bool)
+    for p in primes_in_range(3, p_max):
+        step = p - 1
+        for a in tables[(p, l % p)].bad:
+            alive[(a - k_lo) % step :: step] = False
+    return [k_lo + int(i) for i in np.flatnonzero(alive)]

@@ -397,3 +397,52 @@ def test_witness_rows_share_one_p_per_prime(monkeypatch):
     for p in {w.p for w in rows}:
         ws = [w for w in rows if w.p == p]
         assert all(w.p is ws[0].p for w in ws), p
+
+
+def test_witness_batches_of_one_prime_build_its_residue_table_once(monkeypatch):
+    built = []
+
+    class CountingQrTable(QrTable):
+        __slots__ = ()
+
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    want = verify_nonmultiplicativity(100049)
+    monkeypatch.setattr(billiards, "QrTable", CountingQrTable)
+    monkeypatch.setattr(billiards, "WITNESS_BATCH_ROWS", 64)
+    assert len(billiards._row_batches([100049])) == 782
+    assert verify_nonmultiplicativity(100049) == want
+    assert built == [100049]
+
+
+def test_witness_rows_are_built_with_the_collector_paused(monkeypatch):
+    import gc
+
+    states = []
+    witness = billiards.Witness
+
+    def recording_witness(p, l, m):
+        states.append(gc.isenabled())
+        return witness(p, l, m)
+
+    monkeypatch.setattr(billiards, "Witness", recording_witness)
+    want = [w for p in primes_in_range(13, 300) if p % 4 == 1 for w in scalar_witnesses(p)]
+    assert verify_range(13, 300) == want
+    assert len(states) == len(want) and not any(states) and gc.isenabled()
+
+    class ChiEqualsB:
+        def __init__(self, p):
+            q = b_query(2, ((p - 1) // 2) % 3)
+            self.bits = bytes([0] + [q(n) == 1 for n in range(1, p)])
+
+    monkeypatch.setattr(billiards, "QrTable", ChiEqualsB)
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(NoWitness):
+                verify_range(13, 60)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -354,6 +356,66 @@ def test_sieve_cli_with_tables_and_spot_check(tmp_path, capsys):
     text = tables.read_text()
     assert "19,2:6;14\n" in text
     assert "3,2:\n" in text
+
+
+class CountingRaw(io.RawIOBase):
+    """A raw byte stream that keeps what is written and counts the write calls."""
+
+    def __init__(self, fail=False):
+        self.data, self.writes, self.fail = bytearray(), 0, fail
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        if self.fail:
+            raise OSError(28, "No space left on device")
+        self.data += b
+        return len(b)
+
+
+def test_stdout_rows_go_out_in_blocks_and_write_through_is_restored(tmp_path, monkeypatch, capsys):
+    argv = ["sieve", "--k-lo", "2", "--k-hi", "100001", "--p-max", "19"]
+    assert run_cli(*argv, "-o", str(tmp_path / "want.csv")) == 0
+    want = (tmp_path / "want.csv").read_bytes()
+    for write_through in (True, False):
+        raw = CountingRaw()
+        stdout = io.TextIOWrapper(raw, encoding="ascii", write_through=write_through)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run_cli(*argv) == 0
+        assert bytes(raw.data) == want
+        assert raw.writes <= -(-len(want) // 8192) + 4, raw.writes
+        assert stdout.write_through is write_through
+    # a write that fails ends the command with exit 1, and the setting is still restored
+    raw = CountingRaw(fail=True)
+    stdout = io.TextIOWrapper(raw, encoding="ascii", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run_cli(*argv) == 1
+    assert stdout.write_through is True
+    assert capsys.readouterr().err.startswith("io error: ")
+    # a stdout without the setting is written as it is
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert run_cli(*argv) == 0
+    assert sys.stdout.getvalue().encode() == want
+
+
+def test_sieve_json_is_streamed_with_the_bytes_of_one_dump(tmp_path):
+    from goebel.cli import write_outcome_json
+    from goebel.sieve import SieveOutcome, sieve_range
+
+    out = tmp_path / "outcome.json"
+    for survivors in ([], [7], [5, 19, 2 ** 70]):
+        for bound in (0, 19):
+            outcome = SieveOutcome(k_lo=2, k_hi=2 ** 70, bound=bound, survivors=survivors)
+            write_outcome_json(str(out), outcome)
+            assert out.read_bytes() == (json.dumps(vars(outcome), indent=2) + "\n").encode()
+    assert run_cli(
+        "sieve", "--k-lo", "2", "--k-hi", "400", "--p-max", "19", "--format", "json",
+        "-o", str(out),
+    ) == 0
+    want = json.dumps(vars(sieve_range(2, 400, 19, 2)), indent=2) + "\n"
+    assert out.read_bytes() == want.encode()
 
 
 def test_spot_check_samples_lazily_as_from_the_list_of_sieved_k():

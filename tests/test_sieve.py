@@ -14,13 +14,14 @@ from goebel import (
 from goebel.errors import DomainError
 from goebel.modarith import primes_up_to
 from goebel.sieve import (
+    BadResidueTable,
     format_table_line,
     parse_table_line,
     read_sieve_tables,
     write_sieve_tables,
 )
 
-from .checks import class_exponent
+from .checks import class_exponent, strided_sieve
 from .oracles import plocal_trace
 
 
@@ -138,6 +139,58 @@ def test_sieve_range_19_classes():
         ]
         assert out.survivors == expected
         assert all(type(k) is int for k in out.survivors)
+
+
+# the cost rule as set, every prime with a bad class ANDed in, every prime strided
+MARKING_PATHS = [{}, {"_PATTERN_WRITES": -1}, {"_PATTERN_WRITES": 10 ** 18}]
+
+
+@pytest.mark.parametrize("costs", MARKING_PATHS)
+def test_bitmap_sieve_matches_the_strided_oracle(costs, monkeypatch):
+    from goebel import sieve
+
+    for name, value in costs.items():
+        monkeypatch.setattr(sieve, name, value)
+    tables = {l: sieve_tables(300, l) for l in (1, 2, 3, 5)}
+    # 32760 bits is the widened row of p = 19, where lcm(18, 8) = 72 bits
+    # is one period of its pattern; one more bit runs into the tail
+    for r in range(8):
+        for n in (1, 7, 8, 9, 72, 73, 32760, 32761):
+            k_lo = 16 + r
+            k_hi = k_lo + n - 1
+            got = sieve_range(k_lo, k_hi, 19, 2, tables[2]).survivors
+            assert got == strided_sieve(k_lo, k_hi, 19, 2, tables[2]), (k_lo, n)
+    # shorter than p - 1 for most primes; past int64; each l up to p_max = 300
+    cases = [(1000, 1049, 300, 2), (2 ** 63 - 40, 2 ** 63 + 3000, 300, 2),
+             (10 ** 30, 10 ** 30 + 20000, 300, 2)]
+    cases += [(2, 50000, 300, l) for l in (1, 2, 3, 5)]
+    for k_lo, k_hi, p_max, l in cases:
+        got = sieve_range(k_lo, k_hi, p_max, l, tables[l]).survivors
+        assert got == strided_sieve(k_lo, k_hi, p_max, l, tables[l]), (k_lo, k_hi, l)
+        assert all(type(k) is int for k in got)
+    # every class of 43 bad: nothing survives
+    every = {**tables[2], (43, 2): BadResidueTable(p=43, l=2, bad=tuple(range(42)))}
+    for k_lo, k_hi in ((2, 20), (5, 100000), (2 ** 64, 2 ** 64 + 99)):
+        assert sieve_range(k_lo, k_hi, 43, 2, every).survivors == []
+
+
+def test_short_range_with_many_given_tables_matches_the_strided_oracle(monkeypatch):
+    # a short range with a large p_max crosses off by strided slices, and no
+    # trace runs when every table is given
+    from goebel import sieve
+
+    def no_trace(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(sieve, "_trace", no_trace)
+    rng = random.Random(0)
+    tables = {}
+    for p in primes_up_to(20011)[1:]:
+        bad = tuple(sorted(rng.sample(range(p - 1), min(p - 2, rng.randrange(3)))))
+        tables[(p, 2)] = BadResidueTable(p=p, l=2, bad=bad)
+    got = sieve_range(2, 10 ** 4, 20011, 2, tables)
+    assert got.survivors == strided_sieve(2, 10 ** 4, 20011, 2, tables)
+    assert got.survivors and got.bound == 20011
 
 
 def test_sieve_range_small_prime_no_bad_classes():
