@@ -7,6 +7,7 @@ and across worker counts.  Exit codes: 0 success, 1 domain or I/O error, 2 usage
 
 import argparse
 import csv
+import io
 import json
 import os
 import random
@@ -55,15 +56,19 @@ def cache_dir(args) -> str:
 def _output(path):
     """stdout for None or "-", else the file at path, LF-terminated ASCII.
 
-    While stdout is written it does not write through: under
-    PYTHONUNBUFFERED its rows would otherwise each be one write(2), so they
-    are handed on in blocks.  Its setting is restored, and stdout flushed,
-    however the writing ends.
+    A stdout that writes through to a raw file, as under PYTHONUNBUFFERED,
+    would make each row one write(2), so while it is written it does not
+    write through and rows are handed on in blocks.  Its setting is
+    restored, and stdout flushed, however the writing ends: a block whose
+    write fails is dropped, so the restore has nothing left to flush.  A
+    stdout over a buffered writer already hands on blocks and is left as
+    it is.
     """
     if path in (None, "-"):
         stream = sys.stdout
         # a stdout replaced by, say, an io.StringIO has no such setting
-        write_through = getattr(stream, "write_through", False)
+        write_through = getattr(stream, "write_through", False) and isinstance(
+            stream.buffer, io.RawIOBase)
         if write_through:
             stream.reconfigure(write_through=False)
         try:

@@ -149,13 +149,6 @@ def check_range(k_lo: int, k_hi: int, p_max: int) -> None:
 # Bytes per row of the periodic AND in sieve_range: about 4 KB, so that each
 # prime's pattern is ANDed in by one numpy call over few, long rows.
 _ROW_BYTES = 4096
-# Costs counted in single-byte strided writes, about 8 ns each once every
-# write lands on a new cache line (2 cores, numpy 2.4): one strided slice
-# costs about 128 of them, and building and ANDing in one prime's pattern at
-# least 4096.  sieve_range crosses a prime's classes off with strided slices
-# when that is the cheaper of the two, as in a short range with a large p_max.
-_SLICE_WRITES = 128
-_PATTERN_WRITES = 4096
 
 
 def _and_good_classes(alive: np.ndarray, k_lo: int, m: int, bad) -> None:
@@ -170,11 +163,14 @@ def _and_good_classes(alive: np.ndarray, k_lo: int, m: int, bad) -> None:
     """
     period = m // gcd(m, 8)  # bytes in lcm(m, 8) bits
     row = min(len(alive), period * max(1, _ROW_BYTES // period))
-    good = np.ones(min(m, 8 * row), dtype=bool)
+    bits = 8 * row
+    # the row's bits as periods of m laid side by side, each cut to the row
+    width = min(m, bits)
+    good = np.ones((-(-bits // width), width), dtype=bool)
     # position of class a from k_lo; k_lo is reduced first, as it may pass int64
     pos = (np.array(bad, dtype=np.int64) - k_lo % m) % m
-    good[pos[pos < len(good)]] = False
-    pattern = np.packbits(np.tile(good, -(-8 * row // len(good)))[: 8 * row])
+    good[:, pos[pos < width]] = False
+    pattern = np.packbits(good.ravel()[:bits])
     whole = len(alive) - len(alive) % row
     rows = alive[:whole].reshape(-1, row)
     rows &= pattern
@@ -184,31 +180,20 @@ def _and_good_classes(alive: np.ndarray, k_lo: int, m: int, bad) -> None:
 def sieve_range(k_lo: int, k_hi: int, p_max: int, l: int, tables=None) -> SieveOutcome:
     """Cross off k in [k_lo, k_hi] whose class is bad for some odd prime <= p_max.
 
-    One packed bitmap over the range, one bit per k: each prime ANDs in its
-    periodic pattern of good classes with one numpy call.  The bitmap is
-    then unpacked to a flag per k, and a prime whose bad classes hit few k,
-    as in a short range with a large p_max, crosses them off there with
-    strided slices instead.  Survivors are read back in ascending order, as
-    exact ints for any k_lo.
+    One packed bitmap over the range, one bit per k: each prime with a bad
+    class ANDs in its periodic pattern of good classes with one numpy call.
+    Survivors are read back in ascending order, as exact ints for any k_lo.
     """
     check_range(k_lo, k_hi, p_max)
     tables = sieve_tables(p_max, l, tables)
     n = k_hi - k_lo + 1
     alive = np.full(-(-n // 8), 0xFF, dtype=np.uint8)
     primes = primes_in_range(3, p_max)
-    strided = []
     for p in primes:
-        m, bad = p - 1, tables[(p, l % p)].bad
-        # each class hits at most n // m + 1 of the k
-        if len(bad) * (_SLICE_WRITES + n // m + 1) <= _PATTERN_WRITES:
-            strided.append((m, bad))
-        else:
-            _and_good_classes(alive, k_lo, m, bad)
-    flags = np.unpackbits(alive, count=n)
-    for m, bad in strided:
-        for a in bad:
-            flags[(a - k_lo) % m :: m] = 0
-    survivors = [k_lo + int(i) for i in np.flatnonzero(flags)]
+        bad = tables[(p, l % p)].bad
+        if bad:
+            _and_good_classes(alive, k_lo, p - 1, bad)
+    survivors = [k_lo + int(i) for i in np.flatnonzero(np.unpackbits(alive, count=n))]
     return SieveOutcome(k_lo=k_lo, k_hi=k_hi, bound=primes[-1] if primes else 0, survivors=survivors)
 
 

@@ -377,6 +377,7 @@ class CountingRaw(io.RawIOBase):
 
 def test_stdout_rows_go_out_in_blocks_and_write_through_is_restored(tmp_path, monkeypatch, capsys):
     argv = ["sieve", "--k-lo", "2", "--k-hi", "100001", "--p-max", "19"]
+    short = ["sieve", "--k-lo", "2", "--k-hi", "400", "--p-max", "19"]
     assert run_cli(*argv, "-o", str(tmp_path / "want.csv")) == 0
     want = (tmp_path / "want.csv").read_bytes()
     for write_through in (True, False):
@@ -387,13 +388,31 @@ def test_stdout_rows_go_out_in_blocks_and_write_through_is_restored(tmp_path, mo
         assert bytes(raw.data) == want
         assert raw.writes <= -(-len(want) // 8192) + 4, raw.writes
         assert stdout.write_through is write_through
-    # a write that fails ends the command with exit 1, and the setting is still restored
+    # a write that fails ends the command with exit 1, and the setting is
+    # still restored: mid-stream, and on the last flush of a short output
+    for args in (argv, short):
+        raw = CountingRaw(fail=True)
+        stdout = io.TextIOWrapper(raw, encoding="ascii", write_through=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run_cli(*args) == 1
+        assert raw.writes == 1
+        assert stdout.write_through is True
+        assert capsys.readouterr().err.startswith("io error: ")
+    # over a buffered writer rows already go out in blocks: the setting is
+    # not touched, so a last flush that fails leaves it as it was
     raw = CountingRaw(fail=True)
-    stdout = io.TextIOWrapper(raw, encoding="ascii", write_through=True)
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding="ascii", write_through=True)
     monkeypatch.setattr(sys, "stdout", stdout)
-    assert run_cli(*argv) == 1
+    assert run_cli(*short) == 1
+    assert raw.writes == 1
     assert stdout.write_through is True
     assert capsys.readouterr().err.startswith("io error: ")
+    raw = CountingRaw()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding="ascii", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run_cli(*argv) == 0
+    assert bytes(raw.data) == want
+    assert raw.writes <= -(-len(want) // 8192) + 4, raw.writes
     # a stdout without the setting is written as it is
     monkeypatch.setattr(sys, "stdout", io.StringIO())
     assert run_cli(*argv) == 0

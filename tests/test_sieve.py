@@ -141,16 +141,7 @@ def test_sieve_range_19_classes():
         assert all(type(k) is int for k in out.survivors)
 
 
-# the cost rule as set, every prime with a bad class ANDed in, every prime strided
-MARKING_PATHS = [{}, {"_PATTERN_WRITES": -1}, {"_PATTERN_WRITES": 10 ** 18}]
-
-
-@pytest.mark.parametrize("costs", MARKING_PATHS)
-def test_bitmap_sieve_matches_the_strided_oracle(costs, monkeypatch):
-    from goebel import sieve
-
-    for name, value in costs.items():
-        monkeypatch.setattr(sieve, name, value)
+def test_bitmap_sieve_matches_the_strided_oracle():
     tables = {l: sieve_tables(300, l) for l in (1, 2, 3, 5)}
     # 32760 bits is the widened row of p = 19, where lcm(18, 8) = 72 bits
     # is one period of its pattern; one more bit runs into the tail
@@ -175,8 +166,8 @@ def test_bitmap_sieve_matches_the_strided_oracle(costs, monkeypatch):
 
 
 def test_short_range_with_many_given_tables_matches_the_strided_oracle(monkeypatch):
-    # a short range with a large p_max crosses off by strided slices, and no
-    # trace runs when every table is given
+    # a short range with a large p_max: most primes' patterns are cut to the
+    # range, and no trace runs when every table is given
     from goebel import sieve
 
     def no_trace(*args):
