@@ -19,7 +19,7 @@ from .billiards import (
 )
 from .errors import DomainError, GoebelError
 from .exact import DEFAULT_N_LIMIT, exact_N, exact_N_range
-from .modarith import QrTable, primes_in_range
+from .modarith import primes_in_range
 from .reduced import Classification, classify_l, compute_jp, jp_summaries, scan_two_in_jp
 from .sieve import (
     bad_residues,

@@ -5,12 +5,14 @@ rectangle whose boundary lattice points it visits exactly once.  Reading
 sign constraints off the visit order determines a unique sequence a(1..p-1);
 its period-(l+1) skeleton b is pinned by two reflection relations.  The
 final theorem checked here: a is never completely multiplicative at 2,
-which is what forces the middle block J_p to be non-empty.
+which is what forces the middle block J_p to be non-empty.  The
+middle-block conditions and the witness kernel read chi from
+`modarith.qr_bits`, so a worker builds each prime's table once across
+its witness batches.
 """
 
 import gc
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from math import gcd
 from typing import NamedTuple
@@ -18,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InconsistentConstraints, NoWitness
-from .modarith import QrTable, check_qualifying_prime, is_prime, qualifying_primes
+from .modarith import check_qualifying_prime, is_prime, qr_bits, qualifying_primes
 from .parallel import pmap
 
 
@@ -191,14 +193,14 @@ def construct_b(l: int, s: int) -> SignSequence:
     return seq
 
 
-def empty_iff_conditions(p: int, l: int, qr: QrTable | None = None) -> tuple[bool, bool]:
+def empty_iff_conditions(p: int, l: int) -> tuple[bool, bool]:
     """The two Legendre-pattern conditions whose conjunction would collapse J_p.
 
     cond1: chi(n) = -chi(l+1-n) for 1 <= n <= l/2 (vacuous at l = 0);
     cond2: chi(n) = chi(l+1+n) for 1 <= n <= p-l-2.
     """
     _check_pl(p, l)
-    bits = (qr or QrTable(p)).bits
+    bits = qr_bits(p)
     cond1 = all(bits[n] != bits[l + 1 - n] for n in range(1, l // 2 + 1))
     cond2 = all(bits[n] == bits[l + 1 + n] for n in range(1, p - l - 1))
     return cond1, cond2
@@ -249,14 +251,6 @@ def _first_hits(test, lo: int, hi: np.ndarray) -> np.ndarray:
     return first
 
 
-@lru_cache(maxsize=1)
-def _residue_bits(table, p: int) -> np.ndarray:
-    """table(p).bits as uint8.  The last prime's bits are kept, as the next
-    batch usually starts with more rows of it; the table class is part of
-    the key, so a substituted class never gets another's bits."""
-    return np.frombuffer(table(p).bits, dtype=np.uint8)
-
-
 def _witness_batch(jobs: list[tuple[int, int, int]]) -> np.ndarray:
     """The least witness m of every row (p, l), l = lo, lo+2, ..., hi, of each job (p, lo, hi).
 
@@ -278,7 +272,7 @@ def _witness_batch(jobs: list[tuple[int, int, int]]) -> np.ndarray:
     inv = _inverses(P % L1, L1)
     j0 = -inv % L1
     # bits of every job's prime in one table; a row reads chi(n) at off + n
-    bits = np.concatenate([_residue_bits(QrTable, p) for p in ps])
+    bits = np.concatenate([np.frombuffer(qr_bits(p), np.uint8) for p in ps])
     off = np.repeat(np.cumsum([0] + ps[:-1]), counts)
 
     def chain(rows, n):

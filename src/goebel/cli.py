@@ -2,7 +2,8 @@
 
 Every subcommand writes ASCII CSV with LF line endings (or JSON: a list of
 the same records, one object in sieve), byte-identical across repeated runs
-and across worker counts.  Exit codes: 0 success, 1 domain or I/O error, 2 usage.
+and across worker counts.  Exit codes: 0 success, 1 domain or I/O error or
+out of memory, 2 usage.
 """
 
 import argparse
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exact", help="exact integrality breakdown points over a k range")
     sp.add_argument("--k", type=parse_krange, required=True, help="k or k_lo..k_hi")
     sp.add_argument("--l", type=int, default=2)
-    sp.add_argument("--limit", type=int, default=exact.DEFAULT_N_LIMIT)
+    sp.add_argument("--limit", type=_int_at_least(2), default=exact.DEFAULT_N_LIMIT)
     sp.add_argument("--no-cache", action="store_true")
     _add_common(sp, cache=True, threads=True)
     sp.set_defaults(fn=cmd_exact)
@@ -401,6 +402,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -3,13 +3,15 @@
 Prime lists from a per-call sieve, primality and factorization by trial
 division, p-adic valuations of factorials, the prime-domain checks shared
 by the other modules, and the quadratic-residue bitmap that the reduced
-walks and the billiard checks read the Legendre symbol from.
+walks and the billiard checks read the Legendre symbol from.  They read
+it through `qr_bits`, which keeps the bitmap of the last prime asked for.
 
 Every function is pure; the bitmaps are immutable after construction and
 safe to share across worker processes.
 """
 
 import math
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -146,3 +148,13 @@ class QrTable:
         np.remainder(np.multiply(x, x, out=x), p, out=x)
         bits[x] = 1
         self.bits = bits.tobytes()
+
+
+@lru_cache(maxsize=1)
+def qr_bits(p: int) -> bytes:
+    """QrTable(p).bits, the one residue table every kernel reads.
+
+    Callers go through one prime's starts, sides or rows one after
+    another, so the table of the last prime asked for is all that is kept.
+    """
+    return QrTable(p).bits

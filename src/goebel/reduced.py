@@ -21,7 +21,8 @@ Two kernels walk.  The scalar `final_value` walks one start at a time;
 kernel.  `_walk_runs` walks many (prime, window of starts) jobs in lockstep
 as numpy lanes and, by the no-crossing property, merges each lane into its
 left neighbour once they meet, so few lanes stay alive.  `jp_summaries`
-and `classify_all` use it.
+and `classify_all` use it.  Both read chi from `modarith.qr_bits`, which
+keeps the table of the last prime, so a prime's walks build it once.
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
-from .modarith import QrTable, check_odd_prime, check_qualifying_prime, qualifying_primes
+from .modarith import check_odd_prime, check_qualifying_prime, qr_bits, qualifying_primes
 from .parallel import pmap
 
 
@@ -59,12 +60,10 @@ def _check_start(p: int, l: int) -> None:
         raise DomainError(f"l must be in [0, {p - 1}], got {l}")
 
 
-def final_value(p: int, l: int, qr_bits: bytes | None = None) -> int:
-    """g~(p) only, with early exit on absorption.  Hot path for bulk scans."""
-    if qr_bits is None:
-        _check_start(p, l)
-        qr_bits = QrTable(p).bits
-    return _walk_on(p, l, 1, qr_bits)
+def final_value(p: int, l: int) -> int:
+    """g~(p) only, with early exit on absorption."""
+    _check_start(p, l)
+    return _walk_on(p, l, 1, qr_bits(p))
 
 
 def _walk_on(p: int, g: int, n: int, bits: bytes) -> int:
@@ -76,8 +75,8 @@ def _walk_on(p: int, g: int, n: int, bits: bytes) -> int:
     return g
 
 
-def classify_l(p: int, l: int, qr: QrTable | None = None) -> Classification:
-    v = final_value(p, l) if qr is None else final_value(p, l, qr.bits)
+def classify_l(p: int, l: int) -> Classification:
+    v = final_value(p, l)
     if v == 0:
         return Classification.LEFT
     if v == p:
@@ -109,14 +108,14 @@ def compute_jp(p: int) -> JpSummary:
     the reference for the lockstep walks of `jp_summaries`.
     """
     check_qualifying_prime(p)
-    bits = QrTable(p).bits
-    l_L = _least_even_with(lambda l: final_value(p, l, bits) != 0, p)
-    l_R = _least_even_with(lambda l: final_value(p, l, bits) == p, p)
+    l_L = _least_even_with(lambda l: final_value(p, l) != 0, p)
+    l_R = _least_even_with(lambda l: final_value(p, l) == p, p)
     return JpSummary(p=p, l_L=l_L, l_R=l_R, count=(l_R - l_L) // 2)
 
 
 def _two_in_jp_task(p: int) -> int | None:
-    v = final_value(p, 2, QrTable(p).bits)
+    # p comes from the prime sieve, so it skips final_value's argument check
+    v = _walk_on(p, 2, 1, qr_bits(p))
     return p if 0 < v < p else None
 
 
@@ -125,8 +124,6 @@ def scan_two_in_jp(p_max: int, workers: int = 1) -> list[int]:
 
     A single walk per prime; no binary search involved.
     """
-    if p_max < 13:
-        raise DomainError(f"scan_two_in_jp requires p_max >= 13, got {p_max}")
     hits = pmap(_two_in_jp_task, qualifying_primes(13, p_max), workers)
     return [p for p in hits if p is not None]
 
@@ -144,16 +141,6 @@ _MERGE_EVERY = 32
 # merging; 4 to 8 measured fastest for primes near 10^5 and 10^6, and 4 to
 # 32 were level on 13 primes near 5*10^4.
 _SCALAR_LANES = 8
-
-
-def _chi_segment(p: int) -> np.ndarray:
-    """int8 table S of length p + 1: S[x] = chi(x), and S[0] = S[p] = 0."""
-    seg = np.zeros(p + 1, dtype=np.int8)
-    chi = seg[1:p]
-    chi[:] = np.frombuffer(QrTable(p).bits, dtype=np.uint8)[1:]
-    chi *= 2
-    chi -= 1
-    return seg
 
 
 def _walk_runs(jobs: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -179,11 +166,12 @@ def _walk_runs(jobs: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.nd
     seg = np.zeros(len(jobs) + 1, dtype=np.intp)
     np.cumsum(sizes, out=seg[1:])
     table = np.empty(int(seg[-1]), dtype=np.int8)
-    segment = None
     for (p, _, _), o in zip(jobs, seg.tolist()):
-        if segment is None or len(segment) != p + 1:
-            segment = _chi_segment(p)
-        table[o : o + p + 1] = segment
+        table[o : o + p] = np.frombuffer(qr_bits(p), dtype=np.int8)
+    table *= 2
+    table -= 1
+    table[seg[:-1]] = 0
+    table[seg[1:] - 1] = 0
     counts = [(hi - lo) // 2 + 1 for _, lo, hi in jobs]
     start = np.concatenate([np.arange(lo, hi + 1, 2, dtype=np.intp) for _, lo, hi in jobs])
     off = np.repeat(seg[:-1], counts)

@@ -15,7 +15,7 @@ import numpy as np
 
 from goebel.billiards import Witness, _check_pl, construct_a, construct_b
 from goebel.errors import DomainError, NoWitness
-from goebel.modarith import QrTable, check_qualifying_prime, primes_in_range
+from goebel.modarith import check_qualifying_prime, primes_in_range, qr_bits
 from goebel.reduced import JpSummary, _check_start, final_value
 from goebel.sieve import check_range, sieve_tables
 
@@ -29,10 +29,10 @@ class ReducedTrace:
     values: list[int]
 
 
-def reduced_trace(p: int, l: int, qr: QrTable | None = None) -> ReducedTrace:
+def reduced_trace(p: int, l: int) -> ReducedTrace:
     """Full walk of length p, O(p) with the residue bitmap."""
     _check_start(p, l)
-    bits = (qr or QrTable(p)).bits
+    bits = qr_bits(p)
     values = [0] * p
     g = l
     values[0] = g
@@ -47,8 +47,7 @@ def reduced_trace(p: int, l: int, qr: QrTable | None = None) -> ReducedTrace:
 def compute_jp_linear(p: int) -> JpSummary:
     """Linear-scan reference for compute_jp (oracle; O(p) walks)."""
     check_qualifying_prime(p)
-    bits = QrTable(p).bits
-    finals = {l: final_value(p, l, bits) for l in range(0, p, 2)}
+    finals = {l: final_value(p, l) for l in range(0, p, 2)}
     l_L = min(l for l, v in finals.items() if v != 0)
     l_R = min(l for l, v in finals.items() if v == p)
     return JpSummary(p=p, l_L=l_L, l_R=l_R, count=(l_R - l_L) // 2)
@@ -176,7 +175,7 @@ def b_query(l: int, s: int):
 def scalar_witnesses(p: int) -> list[Witness]:
     """Scalar reference for verify_nonmultiplicativity: one l at a time, one n or m at a time."""
     check_qualifying_prime(p)
-    bits = QrTable(p).bits
+    bits = qr_bits(p)
     half = (p - 1) // 2
     witnesses = []
     for l in range(2, p - 2, 2):

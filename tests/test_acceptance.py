@@ -11,7 +11,6 @@ import pytest
 
 from goebel import (
     DEFAULT_N_LIMIT,
-    QrTable,
     Classification,
     classify_l,
     compute_jp,
@@ -114,9 +113,8 @@ def test_criterion_06_middle_block_theorem():
     ok_nonempty = len(summaries) == len(ps) and all(s.l_L < s.l_R for s in summaries)
     ok_conditions = True
     for p in ps:
-        qr = QrTable(p)
         for l in range(0, p - 2, 2):
-            if empty_iff_conditions(p, l, qr) == (True, True):
+            if empty_iff_conditions(p, l) == (True, True):
                 ok_conditions = False
                 break
     witnesses = verify_range(13, 10 ** 4, workers=WORKERS)
@@ -134,9 +132,8 @@ def test_criterion_07_cross_oracle_equivalence():
     # walk classification vs single-prime congruence runs, all p <= 500
     ok_trace = True
     for p in primes_in_range(3, 500):
-        qr = QrTable(p)
         for l in range(p):
-            middle = classify_l(p, l, qr) is Classification.MIDDLE
+            middle = classify_l(p, l) is Classification.MIDDLE
             if middle != (prime_trace_mod_p((p - 1) // 2, l, p) != 0):
                 ok_trace = False
     # exact arithmetic in the localization at p (literal half exponent,

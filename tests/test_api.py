@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -60,3 +61,15 @@ def test_traced_sieve_run_records_tables_io_and_rows_once(tmp_path):
     assert names.count("sieve.tables_io") == 2  # read, then written back
     assert "cli.write_text" not in names
     assert [span[4] for span in spans if span[0] == "cli.write_rows"] == [{"rows": len(survivors)}]
+
+
+def test_kernels_take_no_residue_table_and_one_module_builds_it():
+    from goebel.billiards import empty_iff_conditions
+    from goebel.reduced import classify_l, final_value
+
+    builders = sorted(
+        f.name for f in (ROOT / "src" / "goebel").glob("*.py") if "QrTable(" in f.read_text()
+    )
+    assert builders == ["modarith.py"]
+    for fn in (final_value, classify_l, empty_iff_conditions):
+        assert list(inspect.signature(fn).parameters) == ["p", "l"], fn.__name__

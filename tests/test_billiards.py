@@ -3,7 +3,6 @@ import pytest
 
 from goebel import (
     Classification,
-    QrTable,
     billiard_path,
     classify_l,
     compute_jp,
@@ -14,7 +13,7 @@ from goebel import (
     verify_nonmultiplicativity,
     verify_range,
 )
-from goebel import billiards
+from goebel import billiards, modarith
 from goebel.errors import DomainError, NoWitness
 
 from . import checks
@@ -295,11 +294,10 @@ def test_zigzag_characterizes_condition_one():
     for p in primes_in_range(13, 500):
         if p % 4 != 1:
             continue
-        qr = QrTable(p)
         for l in range(0, p - 2, 2):
-            cond1, _ = empty_iff_conditions(p, l, qr)
-            trace = reduced_trace(p, l, qr)
-            rhs = (not zigzag(trace)) and classify_l(p, l, qr) is Classification.LEFT
+            cond1, _ = empty_iff_conditions(p, l)
+            trace = reduced_trace(p, l)
+            rhs = (not zigzag(trace)) and classify_l(p, l) is Classification.LEFT
             assert cond1 == rhs, (p, l)
 
 
@@ -307,11 +305,10 @@ def test_zigzag_characterizes_condition_two():
     for p in primes_in_range(13, 300):
         if p % 4 != 1:
             continue
-        qr = QrTable(p)
         for l in range(0, p - 2, 2):
-            _, cond2 = empty_iff_conditions(p, l, qr)
-            trace = reduced_trace(p, l + 2, qr)
-            rhs = (not zigzag(trace)) and classify_l(p, l + 2, qr) is Classification.RIGHT
+            _, cond2 = empty_iff_conditions(p, l)
+            trace = reduced_trace(p, l + 2)
+            rhs = (not zigzag(trace)) and classify_l(p, l + 2) is Classification.RIGHT
             assert cond2 == rhs, (p, l)
 
 
@@ -319,10 +316,7 @@ def test_conditions_never_conjoin_and_blocks_never_touch():
     for p in primes_in_range(13, 2000):
         if p % 4 != 1:
             continue
-        qr = QrTable(p)
-        both = any(
-            all(empty_iff_conditions(p, l, qr)) for l in range(0, p - 2, 2)
-        )
+        both = any(all(empty_iff_conditions(p, l)) for l in range(0, p - 2, 2))
         assert not both, p
         jp = compute_jp(p)
         assert jp.l_L < jp.l_R, p
@@ -372,16 +366,15 @@ def test_witness_batches_split_mid_range(monkeypatch):
         assert verify_range(13, 200, workers=workers) == want, workers
 
 
+def chi_equals_b(p):
+    """Residue bits whose chi is the b sequence of l = 2."""
+    q = b_query(2, ((p - 1) // 2) % 3)
+    return bytes([0] + [q(n) == 1 for n in range(1, p)])
+
+
 def test_witness_kernel_raises_when_chi_equals_b(monkeypatch):
-    class ChiEqualsB:
-        """A residue table whose chi is the b sequence of l = 2."""
-
-        def __init__(self, p):
-            q = b_query(2, ((p - 1) // 2) % 3)
-            self.bits = bytes([0] + [q(n) == 1 for n in range(1, p)])
-
-    monkeypatch.setattr(billiards, "QrTable", ChiEqualsB)
-    monkeypatch.setattr(checks, "QrTable", ChiEqualsB)
+    monkeypatch.setattr(billiards, "qr_bits", chi_equals_b)
+    monkeypatch.setattr(checks, "qr_bits", chi_equals_b)
     message = r"Legendre sequence equals the sign sequence for \(p=13, l=2\)"
     for run in (lambda: verify_nonmultiplicativity(13), lambda: verify_range(13, 60),
                 lambda: scalar_witnesses(13)):
@@ -399,10 +392,10 @@ def test_witness_rows_share_one_p_per_prime(monkeypatch):
         assert all(w.p is ws[0].p for w in ws), p
 
 
-def test_witness_batches_of_one_prime_build_its_residue_table_once(monkeypatch):
+def test_witness_batches_of_one_prime_build_its_residue_table_once(monkeypatch, cold_qr_bits):
     built = []
 
-    class CountingQrTable(QrTable):
+    class CountingQrTable(modarith.QrTable):
         __slots__ = ()
 
         def __init__(self, p):
@@ -410,7 +403,8 @@ def test_witness_batches_of_one_prime_build_its_residue_table_once(monkeypatch):
             super().__init__(p)
 
     want = verify_nonmultiplicativity(100049)
-    monkeypatch.setattr(billiards, "QrTable", CountingQrTable)
+    modarith.qr_bits.cache_clear()
+    monkeypatch.setattr(modarith, "QrTable", CountingQrTable)
     monkeypatch.setattr(billiards, "WITNESS_BATCH_ROWS", 64)
     assert len(billiards._row_batches([100049])) == 782
     assert verify_nonmultiplicativity(100049) == want
@@ -432,12 +426,7 @@ def test_witness_rows_are_built_with_the_collector_paused(monkeypatch):
     assert verify_range(13, 300) == want
     assert len(states) == len(want) and not any(states) and gc.isenabled()
 
-    class ChiEqualsB:
-        def __init__(self, p):
-            q = b_query(2, ((p - 1) // 2) % 3)
-            self.bits = bytes([0] + [q(n) == 1 for n in range(1, p)])
-
-    monkeypatch.setattr(billiards, "QrTable", ChiEqualsB)
+    monkeypatch.setattr(billiards, "qr_bits", chi_equals_b)
     for enabled in (True, False):
         (gc.enable if enabled else gc.disable)()
         try:

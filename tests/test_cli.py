@@ -140,6 +140,22 @@ def test_exact_cache_is_replaced_not_rewritten(tmp_path, monkeypatch):
     assert (cache / "nk_l2.csv").read_text() == "k,l,N,status,limit\n2,2,43,exact,50\n"
 
 
+def test_exact_limit_below_two_is_a_usage_error_with_a_cold_or_warm_cache(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["exact", "--k", "2..5", "--cache-dir", str(cache)]
+    for warm in (False, True):
+        if warm:
+            assert run_cli(*argv, "--limit", "100") == 0
+        files = {f: f.read_bytes() for f in cache.rglob("*")}
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--limit", "1")
+        assert exc.value.code == 2, warm
+        assert capsys.readouterr().out == "", warm
+        assert {f: f.read_bytes() for f in cache.rglob("*")} == files, warm
+        assert bool(files) == warm
+
+
 def test_exact_named_spot_values(tmp_path):
     out = tmp_path / "spot.csv"
     for k, n in ((142, 25), (306, 34)):
@@ -278,6 +294,16 @@ def test_stats_mean_mod_rejects_nonpositive_modulus(tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("stats", "--dataset", str(data), "--mean-mod", d)
         assert exc.value.code == 2
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("k,l,N,status\n4,2,97,exact\n", encoding="ascii")
+    # 10^11 classes ask for one 800 GB list, which is refused before any of it is allocated
+    assert run_cli("stats", "--dataset", str(data), "--mean-mod", "100000000000") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 def test_stats_bad_dataset_row_is_an_error(tmp_path, capsys):
@@ -523,7 +549,7 @@ def test_jp_classify_diagnostic(tmp_path):
     assert lines[-1] == "4,right"
 
 
-def test_jp_classify_builds_one_residue_table(tmp_path, monkeypatch):
+def test_jp_classify_builds_one_residue_table(tmp_path, monkeypatch, cold_qr_bits):
     from goebel.modarith import QrTable
 
     built = []
@@ -560,6 +586,12 @@ def test_prime_bounds_above_the_table_limit_are_an_error(capsys, monkeypatch):
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), argv
+
+
+def test_prime_bounds_below_13_give_the_header_alone(capsys):
+    for command, header in (("two-in-jp", "p"), ("jp", "p,l_L,l_R,J_size,ratio"), ("verify", "p,l,m")):
+        assert run_cli(command, "--p-max", "12") == 0, command
+        assert capsys.readouterr() == (header + "\n", ""), command
 
 
 def test_composite_grid_prime_is_rejected_without_sieving(capsys, monkeypatch):

@@ -14,14 +14,15 @@ from goebel.modarith import (
     is_prime,
     primes_in_range,
     primes_up_to,
+    qr_bits,
 )
 
 from .oracles import factorial_factorization, naive_legendre, naive_primes
 
 
 def symbols(p):
-    """The Legendre symbols (a/p) for a = 0..p-1, read off the QrTable bitmap."""
-    bits = QrTable(p).bits
+    """The Legendre symbols (a/p) for a = 0..p-1, read off the bitmap the kernels read."""
+    bits = qr_bits(p)
     return [0] + [1 if bits[a] else -1 for a in range(1, p)]
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from goebel import (
     Classification,
-    QrTable,
     classify_l,
     compute_jp,
     prime_trace_mod_p,
@@ -28,10 +27,9 @@ def test_trace_from_zero_is_constant():
 
 def test_trace_step_law_and_absorption():
     for p in primes_in_range(3, 200):
-        qr = QrTable(p)
         chi = [naive_legendre(a, p) for a in range(p)]
         for l in range(p):
-            vals = reduced_trace(p, l, qr).values
+            vals = reduced_trace(p, l).values
             assert vals[0] == l
             for n in range(1, p):
                 prev = vals[n - 1]
@@ -44,17 +42,15 @@ def test_trace_step_law_and_absorption():
 
 def test_trace_matches_final_value():
     for p in (13, 101, 499):
-        qr = QrTable(p)
         for l in range(p):
-            assert reduced_trace(p, l, qr).values[-1] == final_value(p, l, qr.bits), (p, l)
+            assert reduced_trace(p, l).values[-1] == final_value(p, l), (p, l)
 
 
 def test_diagonal_absorption():
     # touching the diagonal locks the walk onto it
     for p in primes_in_range(3, 120):
-        qr = QrTable(p)
         for l in range(p):
-            vals = reduced_trace(p, l, qr).values
+            vals = reduced_trace(p, l).values
             for m in range(1, p + 1):
                 if vals[m - 1] == m:
                     assert all(vals[n - 1] == n for n in range(m, p + 1)), (p, l, m)
@@ -63,9 +59,8 @@ def test_diagonal_absorption():
 
 def test_odd_start_dominates_diagonal():
     for p in primes_in_range(3, 500):
-        qr = QrTable(p)
         for l in range(1, p, 2):
-            vals = reduced_trace(p, l, qr).values
+            vals = reduced_trace(p, l).values
             assert all(vals[n - 1] >= n for n in range(1, p + 1)), (p, l)
             assert vals[-1] == p
 
@@ -74,9 +69,8 @@ def test_even_start_dominated_by_antidiagonal_for_3_mod_4():
     for p in primes_in_range(3, 500):
         if p % 4 != 3:
             continue
-        qr = QrTable(p)
         for l in range(0, p, 2):
-            vals = reduced_trace(p, l, qr).values
+            vals = reduced_trace(p, l).values
             assert all(vals[n - 1] <= p - n for n in range(1, p + 1)), (p, l)
             assert vals[-1] == 0
 
@@ -85,8 +79,7 @@ def test_monotone_final_values_for_1_mod_4():
     for p in primes_in_range(5, 500):
         if p % 4 != 1:
             continue
-        qr = QrTable(p)
-        finals = [final_value(p, l, qr.bits) for l in range(0, p, 2)]
+        finals = [final_value(p, l) for l in range(0, p, 2)]
         assert all(a <= b for a, b in zip(finals, finals[1:])), p
 
 
@@ -109,9 +102,8 @@ def test_classify_examples():
 def test_classification_equivalence_with_prime_traces():
     # mid-board finish <-> non-integrality at p for the half exponent
     for p in primes_in_range(3, 200):
-        qr = QrTable(p)
         for l in range(p):
-            middle = classify_l(p, l, qr) is Classification.MIDDLE
+            middle = classify_l(p, l) is Classification.MIDDLE
             assert middle == (prime_trace_mod_p((p - 1) // 2, l, p) != 0), (p, l)
 
 
@@ -144,17 +136,16 @@ def test_compute_jp_matches_linear_scan_wide():
 @pytest.mark.slow
 def test_walk_dominance_invariants_wide():
     for p in primes_in_range(3, 2000):
-        qr = QrTable(p)
         for l in range(1, p, 2):
-            vals = reduced_trace(p, l, qr).values
+            vals = reduced_trace(p, l).values
             assert all(vals[n - 1] >= n for n in range(1, p + 1)) and vals[-1] == p, (p, l)
         if p % 4 == 3:
             for l in range(0, p, 2):
-                vals = reduced_trace(p, l, qr).values
+                vals = reduced_trace(p, l).values
                 assert all(vals[n - 1] <= p - n for n in range(1, p + 1)), (p, l)
                 assert vals[-1] == 0, (p, l)
         else:
-            finals = [final_value(p, l, qr.bits) for l in range(0, p, 2)]
+            finals = [final_value(p, l) for l in range(0, p, 2)]
             assert all(a <= b for a, b in zip(finals, finals[1:])), p
 
 
@@ -280,8 +271,7 @@ def test_lockstep_batches_split_by_table_bytes(monkeypatch):
 def test_classify_all_matches_classify_l():
     # 103 is 3 mod 4: every even start ends at 0
     for p in (3, 5, 13, 101, 103, 4001):
-        qr = QrTable(p)
-        assert classify_all(p) == [classify_l(p, l, qr) for l in range(p)], p
+        assert classify_all(p) == [classify_l(p, l) for l in range(p)], p
 
 
 def test_classify_all_rejects_non_primes():

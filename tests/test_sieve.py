@@ -251,15 +251,14 @@ def test_grid_half_exponent_row_matches_walk_classification():
     # the k = (p-1)/2 grid row equals the walk's Middle set, every odd p <= 500
     import numpy as np
 
-    from goebel import Classification, QrTable, classify_l
+    from goebel import Classification, classify_l
     from goebel.sieve import _trace
 
     for p in primes_up_to(500):
         if p < 3:
             continue
         row = set(np.nonzero(_trace(p, np.arange(p), (p - 1) // 2))[0].tolist())
-        qr = QrTable(p)
-        middles = {l for l in range(p) if classify_l(p, l, qr) is Classification.MIDDLE}
+        middles = {l for l in range(p) if classify_l(p, l) is Classification.MIDDLE}
         assert row == middles, p
 
 
