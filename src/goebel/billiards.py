@@ -13,7 +13,7 @@ its witness batches.
 
 import gc
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -93,16 +93,8 @@ def billiard_path(p: int, l: int) -> BilliardPath:
     c = _check_pl(p, l)
     W, H = p - 2 * c, 2 * c
     points = []
-    tW, tH = W, H
-    end_t = W * H
-    while True:
-        t = tW if tW < tH else tH
-        if t >= end_t:
-            break
-        if t == tW:
-            tW += W
-        if t == tH:
-            tH += H
+    # W and H are coprime, so no multiple of one below W*H is a multiple of the other
+    for t in sorted(chain(range(W, W * H, W), range(H, W * H, H))):
         u, v = _tri(t, W), _tri(t, H)
         points.append(((u + v) // 2, (u - v) // 2 + c))
     if len(points) != p - 2:

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 from . import billiards, exact, reduced, sieve
 from .errors import GoebelError
-from .fileio import read_rows, replace_lines
+from .fileio import read_keyed, read_rows, replace_lines
 from .modarith import is_prime
 
 CACHE_ENV = "GOEBEL_CACHE"
@@ -141,18 +141,18 @@ def _parse_nk_row(line: str) -> tuple[int, int, int | None, list[str]]:
     return int(k_s), int(l_s), n, rest
 
 
-def _parse_cache_row(line: str) -> exact.NkResult:
-    k, l, n, (limit_s,) = _parse_nk_row(line)
-    r = exact.NkResult(k=k, l=l, n=n, limit=int(limit_s))
-    if n is not None and n > r.limit:
-        raise ValueError(f"N above the row's limit: {line!r}")
-    return r
+def _parse_cache_row(line: str, l: int) -> exact.NkResult:
+    k, row_l, n, (limit_s,) = _parse_nk_row(line)
+    if row_l != l or (n is not None and n > int(limit_s)):
+        raise ValueError(f"not a row of the cache of l = {l}: {line!r}")
+    return exact.NkResult(k=k, l=l, n=n, limit=int(limit_s))
 
 
-def _load_nk_cache(path) -> dict:
+def _load_nk_cache(path, l: int) -> dict:
+    """The cache of l by k; a row for another l, or a repeated k, is a bad row."""
     if not os.path.exists(path):
         return {}
-    return {r.k: r for r in read_rows(path, _parse_cache_row, "cache")}
+    return read_keyed(path, lambda line: _parse_cache_row(line, l), lambda r: r.k, "cache")
 
 
 def _save_nk_cache(path, cached: dict) -> None:
@@ -168,7 +168,7 @@ def _save_nk_cache(path, cached: dict) -> None:
 def cmd_exact(args) -> int:
     ks = list(args.k)
     path = os.path.join(cache_dir(args), f"nk_l{args.l}.csv")
-    cached = {} if args.no_cache else _load_nk_cache(path)
+    cached = {} if args.no_cache else _load_nk_cache(path, args.l)
     # a cached exceeded outcome is only reusable at or below its own limit
     todo = [
         k
@@ -177,7 +177,8 @@ def cmd_exact(args) -> int:
     ]
     for r in exact.exact_N_range(todo, args.l, args.limit, workers=args.threads):
         cached[r.k] = r
-    if not args.no_cache:
+    # a run that computed nothing leaves the file it read as it was
+    if todo and not args.no_cache:
         _save_nk_cache(path, cached)
     rows = []
     for k in sorted(set(ks)):
@@ -243,11 +244,12 @@ def _nth_sieved(k_lo: int, survivors: list[int], i: int) -> int:
 
 def cmd_sieve(args) -> int:
     sieve.check_range(args.k_lo, args.k_hi, args.p_max)
-    known = args.tables and os.path.exists(args.tables)
-    tables = sieve.read_sieve_tables(args.tables) if known else {}
-    tables = sieve.sieve_tables(args.p_max, args.l, tables, workers=args.threads)
+    stored = args.tables and os.path.exists(args.tables)
+    known = sieve.read_sieve_tables(args.tables) if stored else {}
+    tables = sieve.sieve_tables(args.p_max, args.l, known, workers=args.threads)
     outcome = sieve.sieve_range(args.k_lo, args.k_hi, args.p_max, args.l, tables)
-    if args.tables:
+    # a run that built no table leaves the file it read as it was
+    if args.tables and len(tables) > len(known):
         sieve.write_sieve_tables(args.tables, tables)
     if args.spot_check:
         rng = random.Random(args.seed)

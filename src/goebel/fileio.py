@@ -22,6 +22,19 @@ def read_rows(path, parse, what: str, header: bool = True):
                     raise GoebelError(f"bad {what} row {path}, line {lineno}") from None
 
 
+def read_keyed(path, parse, key, what: str, header: bool = True) -> dict:
+    """{key(row): row} over the rows of read_rows; a row with an earlier row's key is a bad row."""
+    rows = {}
+    def parse_once(line):
+        row = parse(line)
+        if key(row) in rows:
+            raise ValueError(f"repeated key: {line!r}")
+        return row
+    for row in read_rows(path, parse_once, what, header):
+        rows[key(row)] = row
+    return rows
+
+
 def replace_lines(path, lines) -> None:
     """Write lines (LF-terminated ASCII) to a sibling file and rename it over path.
 

@@ -25,6 +25,7 @@ and `classify_all` use it.  Both read chi from `modarith.qr_bits`, which
 keeps the table of the last prime, so a prime's walks build it once.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -86,16 +87,10 @@ def classify_l(p: int, l: int) -> Classification:
 
 def _least_even_with(pred, p: int) -> int:
     # pred is false at l = 0 and true at l = p - 1; the set where it holds
-    # is upward closed over even l (monotone final values), so binary
-    # search over the even index i (l = 2i).
-    lo, hi = 0, (p - 1) // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(2 * mid):
-            hi = mid
-        else:
-            lo = mid
-    return 2 * hi
+    # is upward closed over even l (monotone final values), so bisect over
+    # the even index i (l = 2i) strictly between those two ends.
+    m = (p - 1) // 2
+    return 2 * bisect_left(range(m + 1), True, 1, m, key=lambda i: pred(2 * i))
 
 
 def compute_jp(p: int) -> JpSummary:
@@ -104,7 +99,7 @@ def compute_jp(p: int) -> JpSummary:
     Two independent binary searches over the even starts, sound because the
     final values are monotone in even l (walks of one parity never cross):
     l_L is the least even l whose walk is not absorbed at 0, l_R the least
-    even l absorbed at p.  Costs about 2 log2(p/2) scalar walks.  It is
+    even l absorbed at p.  Costs at most 2 ceil(log2((p-1)/2)) walks.  It is
     the reference for the lockstep walks of `jp_summaries`.
     """
     check_qualifying_prime(p)

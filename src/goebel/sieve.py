@@ -21,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from .errors import DomainError
-from .fileio import read_rows, replace_lines
+from .fileio import read_keyed, replace_lines
 from .modarith import SIEVE_MAX, check_odd_prime, factorize, primes_in_range
 from .parallel import pmap
 
@@ -52,9 +52,9 @@ def primitive_root(p: int) -> int:
         g += 1
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _prime_ctx(p: int):
-    """Per-prime discrete-log tables: (rpow, dlog, inv) with inv[i] = i^-1 mod p."""
+    """(rpow, dlog) of p, rpow[j] = r^j and dlog[r^j] = j for a primitive root r; one p is kept."""
     r = primitive_root(p)
     rpow = np.empty(p - 1, dtype=np.int64)
     x = 1
@@ -63,11 +63,7 @@ def _prime_ctx(p: int):
         x = x * r % p
     dlog = np.zeros(p, dtype=np.int64)
     dlog[rpow] = np.arange(p - 1)
-    inv = [0] * p
-    inv[1] = 1
-    for i in range(2, p):
-        inv[i] = (p - p // i) * inv[p % i] % p
-    return rpow, dlog, inv
+    return rpow, dlog
 
 
 def _check_trace_prime(p: int) -> None:
@@ -80,11 +76,11 @@ def _trace(p: int, U, E) -> np.ndarray:
     """prime_trace_mod_p for start values U against exponents E, broadcast.
 
     E holds exponents k >= 1 or their classes mod p-1 (class 0 is evaluated
-    as exponent p-1).  Powers come from the discrete-log tables; the
-    largest intermediate is (p-1)^3, which must fit in int64.
+    as exponent p-1).  Powers come from the discrete-log tables and 1/(n+1)
+    from pow; the largest intermediate is (p-1)^3, which must fit in int64.
     """
     _check_trace_prime(p)
-    rpow, dlog, inv = _prime_ctx(p)
+    rpow, dlog = _prime_ctx(p)
     E = np.asarray(E, dtype=np.int64) % (p - 1)
     U = np.asarray(U, dtype=np.int64)
 
@@ -92,7 +88,7 @@ def _trace(p: int, U, E) -> np.ndarray:
         return np.where(U == 0, 0, rpow[dlog[U] * E % (p - 1)])
 
     for n in range(1, p - 1):
-        U = (n * U + power(U)) * inv[n + 1] % p
+        U = (n * U + power(U)) * pow(n + 1, -1, p) % p
     return ((p - 1) * U + power(U)) % p
 
 
@@ -243,4 +239,4 @@ def write_sieve_tables(path, tables: dict) -> None:
 
 
 def read_sieve_tables(path) -> dict:
-    return {(t.p, t.l): t for t in read_rows(path, parse_table_line, "sieve tables", header=False)}
+    return read_keyed(path, parse_table_line, lambda t: (t.p, t.l), "sieve tables", header=False)

@@ -45,8 +45,13 @@ def test_traced_sieve_run_records_tables_io_and_rows_once(tmp_path):
     from goebel.cli import main
 
     tables = tmp_path / "tables.txt"
-    argv = ["sieve", "--k-lo", "2", "--k-hi", "400", "--p-max", "19", "--tables", str(tables)]
+    argv = ["sieve", "--k-lo", "2", "--k-hi", "400", "--p-max", "19"]
     assert main(argv + ["-o", str(tmp_path / "first.csv")]) == 0
+    # a file with the tables up to 13 only: the traced run reads it, builds
+    # the tables of 17 and 19, and writes it back
+    low = ["sieve", "--k-lo", "2", "--k-hi", "400", "--p-max", "13", "--tables", str(tables)]
+    assert main(low + ["-o", str(tmp_path / "low.csv")]) == 0
+    argv += ["--tables", str(tables)]
     spans_path = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     traced = [sys.executable, str(ROOT / "bench" / "tracing.py"), "--spans", str(spans_path)]

@@ -112,6 +112,8 @@ def test_exact_damaged_cache_is_an_error(tmp_path, capsys):
         b"2,2,43,exceeded,50",
         b"2,2,,exact,50",
         b"2,2,43,exact,50,7",
+        b"2,3,7,exact,50",  # a row for another l
+        b"2,2,43,exact,50\n2,2,44,exact,50",  # a repeated k
     ):
         (cache / "nk_l2.csv").write_bytes(b"k,l,N,status,limit\n" + line + b"\n")
         assert run_cli("exact", "--k", "2", "--limit", "50", "--cache-dir", str(cache)) == 1
@@ -137,7 +139,16 @@ def test_exact_cache_is_replaced_not_rewritten(tmp_path, monkeypatch):
     ) == 0
     assert replaced == [(str(cache), str(cache / "nk_l2.csv"))]
     assert os.listdir(cache) == ["nk_l2.csv"]
-    assert (cache / "nk_l2.csv").read_text() == "k,l,N,status,limit\n2,2,43,exact,50\n"
+    body = (cache / "nk_l2.csv").read_bytes()
+    assert body == b"k,l,N,status,limit\n2,2,43,exact,50\n"
+    # a warm run computes nothing, so it leaves the cache file alone
+    replaced.clear()
+    assert run_cli(
+        "exact", "--k", "2", "--limit", "50", "--cache-dir", str(cache),
+        "-o", str(tmp_path / "nk.csv"),
+    ) == 0
+    assert replaced == []
+    assert (cache / "nk_l2.csv").read_bytes() == body
 
 
 def test_exact_limit_below_two_is_a_usage_error_with_a_cold_or_warm_cache(tmp_path, capsys):
@@ -339,6 +350,7 @@ def test_sieve_tables_file_of_another_kind_is_an_error(tmp_path, capsys):
         b"5,5:\n",  # l above p - 1
         b"5,-1:\n",
         b"5,2\n",
+        b"3,2:\n5,2:\n3,2:1\n",  # a repeated (p, l)
     ):
         tables.write_bytes(body)
         assert run_cli(
@@ -366,7 +378,15 @@ def test_sieve_tables_file_is_replaced_not_rewritten(tmp_path, monkeypatch):
     ) == 0
     assert replaced == [(str(tmp_path), str(tables))]
     assert sorted(os.listdir(tmp_path)) == ["out.csv", "tables.txt"]
-    assert tables.read_text() == "3,2:\n5,2:\n7,2:\n"
+    assert tables.read_bytes() == b"3,2:\n5,2:\n7,2:\n"
+    # a warm run builds no table, so it leaves the tables file alone
+    replaced.clear()
+    assert run_cli(
+        "sieve", "--k-lo", "2", "--k-hi", "200", "--p-max", "5", "--tables", str(tables),
+        "-o", str(tmp_path / "out.csv"),
+    ) == 0
+    assert replaced == []
+    assert tables.read_bytes() == b"3,2:\n5,2:\n7,2:\n"
 
 
 def test_sieve_cli_with_tables_and_spot_check(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -124,6 +125,17 @@ def test_compute_jp_matches_linear_scan():
     for p in primes_in_range(13, 500):
         if p % 4 == 1:
             assert compute_jp(p) == compute_jp_linear(p), p
+
+
+def test_compute_jp_bisects_over_the_even_starts(monkeypatch):
+    # two bisections over the (p - 1) / 2 even starts, not a scan
+    calls = []
+    walk = reduced.final_value
+    monkeypatch.setattr(reduced, "final_value", lambda p, l: calls.append(l) or walk(p, l))
+    for p in qualifying_primes(13, 2000):
+        calls.clear()
+        compute_jp(p)
+        assert 0 < len(calls) <= 2 * math.ceil(math.log2((p - 1) / 2)), p
 
 
 @pytest.mark.slow

@@ -98,6 +98,32 @@ def test_vector_trace_rejects_primes_that_overflow_int64():
     assert _prime_ctx.cache_info().currsize == 0
 
 
+def test_prime_context_holds_only_the_discrete_log_tables():
+    # rpow and dlog take 16 bytes per unit of p; a table of inverses as
+    # Python ints beside them held 5.6 MB in all at p = 100003
+    import tracemalloc
+
+    from goebel.sieve import _prime_ctx
+
+    _prime_ctx.cache_clear()
+    tracemalloc.start()
+    try:
+        _prime_ctx(100003)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _prime_ctx.cache_clear()
+    assert held <= 2.5e6
+
+
+def test_grid_scan_builds_the_prime_context_once():
+    from goebel.sieve import _prime_ctx
+
+    _prime_ctx.cache_clear()
+    grid_scan(211)
+    assert _prime_ctx.cache_info().misses == 1
+
+
 def test_sieve_rejects_a_p_max_the_trace_cannot_take_before_any_table(monkeypatch, capsys):
     # without the check, tables for all 155,610 primes below 2^21 come first
     from goebel import sieve
