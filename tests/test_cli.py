@@ -139,9 +139,9 @@ def test_exact_cache_is_replaced_not_rewritten(tmp_path, monkeypatch):
     ) == 0
     assert replaced == [(str(cache), str(cache / "nk_l2.csv"))]
     assert os.listdir(cache) == ["nk_l2.csv"]
-    body = (cache / "nk_l2.csv").read_bytes()
-    assert body == b"k,l,N,status,limit\n2,2,43,exact,50\n"
+    assert (cache / "nk_l2.csv").read_text() == "k,l,N,status,limit\n2,2,43,exact,50\n"
     # a warm run computes nothing, so it leaves the cache file alone
+    body = (cache / "nk_l2.csv").read_bytes()
     replaced.clear()
     assert run_cli(
         "exact", "--k", "2", "--limit", "50", "--cache-dir", str(cache),
@@ -378,15 +378,16 @@ def test_sieve_tables_file_is_replaced_not_rewritten(tmp_path, monkeypatch):
     ) == 0
     assert replaced == [(str(tmp_path), str(tables))]
     assert sorted(os.listdir(tmp_path)) == ["out.csv", "tables.txt"]
-    assert tables.read_bytes() == b"3,2:\n5,2:\n7,2:\n"
+    assert tables.read_text() == "3,2:\n5,2:\n7,2:\n"
     # a warm run builds no table, so it leaves the tables file alone
+    body = tables.read_bytes()
     replaced.clear()
     assert run_cli(
         "sieve", "--k-lo", "2", "--k-hi", "200", "--p-max", "5", "--tables", str(tables),
         "-o", str(tmp_path / "out.csv"),
     ) == 0
     assert replaced == []
-    assert tables.read_bytes() == b"3,2:\n5,2:\n7,2:\n"
+    assert tables.read_bytes() == body
 
 
 def test_sieve_cli_with_tables_and_spot_check(tmp_path, capsys):
