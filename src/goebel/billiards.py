@@ -150,12 +150,22 @@ def construct_a(p: int, l: int) -> SignSequence:
     return SignSequence(values=tuple(values), kind="a", l=l, p=p)
 
 
+def _b_odd(j, j0):
+    """1 where b = -1 at chain position j, else 0, for ints or arrays.
+
+    The walk x -> x + (2s+1) mod l+1 from x = 1 reaches residue n at step
+    j = (n - 1) (2s+1)^-1 and residue 0 at step j0; the sign flips at every
+    step except the one leaving residue 0.
+    """
+    return (j + (j > j0)) & 1
+
+
 def construct_b(l: int, s: int) -> SignSequence:
     """The unique period-(l+1) sequence with b(1) = 1 satisfying both relations.
 
-    Solved by sign propagation along the orbit of n -> n + (2s+1), the
-    composition of the two defining reflections; the full constraint set
-    is re-checked after construction.
+    Read off the orbit of n -> n + (2s+1), the composition of the two
+    defining reflections, by `_b_odd`; the full constraint set is
+    re-checked after construction.
     """
     if l % 2 or l < 0:
         raise DomainError(f"l must be even and non-negative, got {l}")
@@ -164,17 +174,8 @@ def construct_b(l: int, s: int) -> SignSequence:
     L1 = l + 1
     if gcd(2 * s + 1, L1) != 1:
         raise DomainError(f"2s+1 = {2 * s + 1} shares a factor with l+1 = {L1}")
-    vals = [0] * L1
-    x = 1 % L1
-    sign = 1
-    vals[x] = 1
-    step = 2 * s + 1
-    for _ in range(L1 - 1):
-        nxt = (x + step) % L1
-        sign = sign if x == 0 else -sign
-        vals[nxt] = sign
-        x = nxt
-    values = tuple(vals[n % L1] for n in range(1, L1 + 1))
+    inv = pow(2 * s + 1, -1, L1)
+    values = tuple(1 - 2 * _b_odd((n - 1) * inv % L1, -inv % L1) for n in range(1, L1 + 1))
     seq = SignSequence(values=values, kind="b", l=l, s=s)
     for n in range(1, L1):
         if seq.value(n) != -seq.value(L1 - n):
@@ -248,11 +249,9 @@ def _witness_batch(jobs: list[tuple[int, int, int]]) -> np.ndarray:
 
     Each job's prime appears in no other job of the batch.  With L1 = l + 1
     and s = (p-1)/2 mod L1, 2s + 1 = p (mod L1), so the b sequence of the
-    row is b(n) = -1 exactly when j + [j > j0] is odd, where inv = p^-1 mod
-    L1, j = (n - 1) inv mod L1 and j0 = -inv mod L1: walking
-    x -> x + (2s+1) mod L1 flips the sign at every step except the one
-    leaving residue 0, and j is the step at which the walk from 1 reaches n.
-    Products stay below p^2, inside int64 for p below 10^8.
+    row is read off by `_b_odd` with the chain positions j = (n - 1) inv
+    mod L1 and j0 = -inv mod L1, where inv = p^-1 mod L1.  Products stay
+    below p^2, inside int64 for p below 10^8.
 
     Raises NoWitness for the first row whose Legendre sequence equals b on
     [1, p-1], or that has no m in [2, (p-3)/2] with b(2m) != b(2) b(m).
@@ -271,21 +270,18 @@ def _witness_batch(jobs: list[tuple[int, int, int]]) -> np.ndarray:
         """j(n) = (n - 1) inv mod L1, the step at which the walk from 1 reaches n."""
         return (n - 1) * inv[rows, None] % L1[rows, None]
 
-    def odd(rows, j):
-        """1 where b = -1 at chain position j, else 0."""
-        return (j + (j > j0[rows, None])) & 1
-
-    # chi(n) = +1 iff bits[n] = 1, and b(n) = +1 iff odd = 0: they differ iff bits = odd
+    # chi(n) = +1 iff bits[n] = 1, and b(n) = +1 iff _b_odd = 0: they differ iff the two are equal
     differs = _first_hits(
-        lambda rows, n: bits[off[rows, None] + n] == odd(rows, chain(rows, n)), 1, P - 1
+        lambda rows, n: bits[off[rows, None] + n] == _b_odd(chain(rows, n), j0[rows, None]),
+        1, P - 1,
     )
     everyone = np.arange(len(P))
-    odd2 = odd(everyone, chain(everyone, np.int64(2)))[:, 0]
+    odd2 = _b_odd(chain(everyone, np.int64(2)), j0[:, None])[:, 0]
 
     def witness(rows, m):
-        j = chain(rows, m)
+        j, z = chain(rows, m), j0[rows, None]
         j2 = (2 * j + inv[rows, None]) % L1[rows, None]  # j(2m) = 2 j(m) + inv
-        return odd(rows, j2) != odd(rows, j) ^ odd2[rows, None]
+        return _b_odd(j2, z) != _b_odd(j, z) ^ odd2[rows, None]
 
     m = _first_hits(witness, 2, (P - 3) // 2)
     bad = np.flatnonzero((differs < 0) | (m < 0))

@@ -244,6 +244,7 @@ def _nth_sieved(k_lo: int, survivors: list[int], i: int) -> int:
 
 def cmd_sieve(args) -> int:
     sieve.check_range(args.k_lo, args.k_hi, args.p_max)
+    sieve.check_l(args.l)
     stored = args.tables and os.path.exists(args.tables)
     known = sieve.read_sieve_tables(args.tables) if stored else {}
     tables = sieve.sieve_tables(args.p_max, args.l, known, workers=args.threads)

@@ -60,8 +60,9 @@ def _trial_divisors(n: int):
     return chain(range(2, min(r, 2) + 1), range(3, r + 1, 2))
 
 
+@lru_cache(maxsize=1)
 def is_prime(n: int) -> bool:
-    """Trial division, for n below 10^16."""
+    """Trial division, for n below 10^16; like qr_bits, it keeps the last n's answer."""
     if n >= _IS_PRIME_MAX:
         raise DomainError(f"is_prime needs n below {_IS_PRIME_MAX}, got {n}")
     return n >= 2 and all(n % d for d in _trial_divisors(n))

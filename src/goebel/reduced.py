@@ -17,12 +17,13 @@ Left, then Middle, then Right, which makes the block boundaries l_L and
 l_R searchable.
 
 Two kernels walk.  The scalar `final_value` walks one start at a time;
-`compute_jp` bisects with it, and it is the reference for the other
-kernel.  `_walk_runs` walks many (prime, window of starts) jobs in lockstep
-as numpy lanes and, by the no-crossing property, merges each lane into its
-left neighbour once they meet, so few lanes stay alive.  `jp_summaries`
-and `classify_all` use it.  Both read chi from `modarith.qr_bits`, which
-keeps the table of the last prime, so a prime's walks build it once.
+`compute_jp` bisects with it, `scan_two_in_jp` calls it once per prime,
+and it is the reference for the other kernel.  `_walk_runs` walks many
+(prime, window of starts) jobs in lockstep as numpy lanes and, by the
+no-crossing property, merges each lane into its left neighbour once they
+meet, so few lanes stay alive.  `jp_summaries` and `classify_all` use it.
+Both read chi from `modarith.qr_bits`, which keeps the table of the last
+prime, so a prime's walks build it once.
 """
 
 from bisect import bisect_left
@@ -76,13 +77,14 @@ def _walk_on(p: int, g: int, n: int, bits: bytes) -> int:
     return g
 
 
+def _class_of(p: int, v: int) -> Classification:
+    """The class of a walk on the board of p that ends at v."""
+    return (Classification.LEFT if v == 0
+            else Classification.RIGHT if v == p else Classification.MIDDLE)
+
+
 def classify_l(p: int, l: int) -> Classification:
-    v = final_value(p, l)
-    if v == 0:
-        return Classification.LEFT
-    if v == p:
-        return Classification.RIGHT
-    return Classification.MIDDLE
+    return _class_of(p, final_value(p, l))
 
 
 def _least_even_with(pred, p: int) -> int:
@@ -108,19 +110,14 @@ def compute_jp(p: int) -> JpSummary:
     return JpSummary(p=p, l_L=l_L, l_R=l_R, count=(l_R - l_L) // 2)
 
 
-def _two_in_jp_task(p: int) -> int | None:
-    # p comes from the prime sieve, so it skips final_value's argument check
-    v = _walk_on(p, 2, 1, qr_bits(p))
-    return p if 0 < v < p else None
-
-
 def scan_two_in_jp(p_max: int, workers: int = 1) -> list[int]:
     """Primes p = 1 mod 4 in [13, p_max] whose walk from l = 2 ends mid-board.
 
     A single walk per prime; no binary search involved.
     """
-    hits = pmap(_two_in_jp_task, qualifying_primes(13, p_max), workers)
-    return [p for p in hits if p is not None]
+    primes = qualifying_primes(13, p_max)
+    finals = pmap(partial(final_value, l=2), primes, workers)
+    return [p for p, v in zip(primes, finals) if 0 < v < p]
 
 
 # Width of the first window of even starts walked from each end of [0, p-1];
@@ -282,23 +279,17 @@ def jp_summaries(p_min: int, p_max: int, workers: int = 1) -> list[JpSummary]:
 def classify_all(p: int) -> list[Classification]:
     """classify_l(p, l) for l = 0, ..., p - 1, by one lockstep walk per parity."""
     check_odd_prime(p)
-    by_final = {0: Classification.LEFT, p: Classification.RIGHT}
     classes = [None] * p
     for lo, (starts, finals) in zip((0, 1), _walk_runs([(p, 0, p - 1), (p, 1, p - 2)])):
         # the run holding l begins at the greatest lane start <= l
         runs = np.searchsorted(starts, np.arange(lo, p, 2), side="right") - 1
-        classes[lo::2] = [by_final.get(v, Classification.MIDDLE) for v in finals[runs].tolist()]
+        classes[lo::2] = [_class_of(p, v) for v in finals[runs].tolist()]
     return classes
 
 
-def format_ratio(count: int, p: int) -> str:
-    """count/p with 6 decimal digits, as Python formats the float count / p."""
-    return f"{count / p:.6f}"
-
-
 def jp_ratio_table(p_max: int, p_min: int = 13, workers: int = 1) -> list[tuple]:
-    """Rows (p, l_L, l_R, count, ratio-string) for the J_p size table."""
+    """Rows (p, l_L, l_R, count, ratio) for the J_p size table, the ratio with 6 decimals."""
     return [
-        (s.p, s.l_L, s.l_R, s.count, format_ratio(s.count, s.p))
+        (s.p, s.l_L, s.l_R, s.count, f"{s.ratio:.6f}")
         for s in jp_summaries(p_min, p_max, workers=workers)
     ]

@@ -120,8 +120,15 @@ class SieveOutcome:
     survivors: list[int]
 
 
+def check_l(l: int) -> None:
+    """The sieve takes the start values of exact_N, l >= 0, not their residues mod p."""
+    if l < 0:
+        raise DomainError(f"need l >= 0, got {l}")
+
+
 def sieve_tables(p_max: int, l: int, tables=None, workers: int = 1) -> dict:
     """Bad-residue tables for all odd primes <= p_max, reusing any given."""
+    check_l(l)
     _check_trace_prime(p_max)
     tables = dict(tables) if tables else {}
     todo = [p for p in primes_in_range(3, p_max) if (p, l % p) not in tables]

@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,19 @@ def test_bench_tracing_targets_and_readme_quick_tour_resolve():
     names = set(re.findall(r"\bgoebel\.(\w+)", tour))
     assert len(names) >= 7
     assert sorted(n for n in names if not hasattr(goebel, n)) == []
+
+
+def test_bench_quick_run_is_correct(tmp_path):
+    """bench/run.py --quick, every workload in both trace modes, on a copy of
+    the checkout, so the spans its traced rounds keep stay out of bench/.work."""
+    for name in ("bench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns(".work", "__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run([sys.executable, "bench/run.py", "--quick"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=600)
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert (summary["correct"], summary["failed"]) == (True, 0), proc.stderr
 
 
 def test_traced_sieve_run_records_tables_io_and_rows_once(tmp_path):

@@ -283,6 +283,13 @@ def test_empty_iff_conditions_examples():
     assert empty_iff_conditions(13, 0)[0]  # vacuous range
 
 
+def test_empty_iff_conditions_test_the_prime_once():
+    modarith.is_prime.cache_clear()
+    for l in range(0, 1009 - 2, 2):
+        empty_iff_conditions(1009, l)
+    assert modarith.is_prime.cache_info().misses == 1
+
+
 def test_zigzag_examples():
     assert not zigzag(reduced_trace(13, 0))
     assert zigzag(reduced_trace(13, 4))

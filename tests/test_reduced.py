@@ -14,7 +14,7 @@ from goebel import (
 from goebel import reduced
 from goebel.errors import DomainError
 from goebel.modarith import qualifying_primes
-from goebel.reduced import classify_all, final_value, format_ratio, jp_ratio_table, jp_summaries
+from goebel.reduced import JpSummary, classify_all, final_value, jp_ratio_table, jp_summaries
 
 from .checks import compute_jp_linear, reduced_trace
 from .goldens import JP_TABLE, TWO_IN_JP_BELOW_1E4
@@ -176,6 +176,14 @@ def test_scan_two_in_jp():
     assert 313 == compute_jp(313).l_L + 311  # l_L = 2 for the first hit
 
 
+def test_scan_two_in_jp_walks_each_prime_once_through_final_value(monkeypatch):
+    calls = []
+    walk = reduced.final_value
+    monkeypatch.setattr(reduced, "final_value", lambda p, l: calls.append((p, l)) or walk(p, l))
+    assert scan_two_in_jp(2000) == [313, 1873]
+    assert calls == [(p, 2) for p in qualifying_primes(13, 2000)]
+
+
 def test_scan_two_in_jp_parallel_matches():
     assert scan_two_in_jp(3000, workers=2) == scan_two_in_jp(3000)
 
@@ -205,11 +213,11 @@ def test_jp_ratio_rows():
     assert by_p[13] == (13, 4, 10, 3, "0.230769")
     assert by_p[349] == (349, 20, 344, 162, "0.464183")
     assert all(float(r[4]) < 0.5 for r in rows)
-    assert format_ratio(1, 8) == "0.125000"
+    assert f"{JpSummary(p=8, l_L=0, l_R=2, count=1).ratio:.6f}" == "0.125000"
 
 
 def test_ratio_formatting_rounds_half_even():
-    assert format_ratio(1, 16) == "0.062500"
+    assert f"{JpSummary(p=16, l_L=0, l_R=2, count=1).ratio:.6f}" == "0.062500"
     # exact binary ties go to even: 1/64 = 0.015625
     assert f"{1 / 64:.5f}" == "0.01562"
 

@@ -124,7 +124,9 @@ def test_grid_scan_builds_the_prime_context_once():
     assert _prime_ctx.cache_info().misses == 1
 
 
-def test_sieve_rejects_a_p_max_the_trace_cannot_take_before_any_table(monkeypatch, capsys):
+def test_sieve_rejects_a_p_max_the_trace_cannot_take_before_any_table(
+    monkeypatch, capsys, tmp_path
+):
     # without the check, tables for all 155,610 primes below 2^21 come first
     from goebel import sieve
     from goebel.cli import main
@@ -138,6 +140,17 @@ def test_sieve_rejects_a_p_max_the_trace_cannot_take_before_any_table(monkeypatc
     assert len(err) == 1 and err[0].startswith("error: ") and "2097169" in err[0]
     with pytest.raises(DomainError):
         sieve_tables(2097169, 2)
+    # so is a negative l, which the tables of l mod p would sieve for, and
+    # which the spot check's exact_N rejects
+    tables = tmp_path / "T"
+    argv = ["sieve", "--k-lo", "2", "--k-hi", "2000", "--p-max", "100", "--l", "-2"]
+    assert main(argv + ["--spot-check", "3", "--tables", str(tables)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "-2" in err[0]
+    assert not tables.exists()
+    for call in (lambda: sieve_tables(100, -1), lambda: smallest_sieving_prime(2, -1, 100)):
+        with pytest.raises(DomainError):
+            call()
     # p_max = 2^21 is allowed: with every table given, none is built
     given = {(p, 2 % p): None for p in primes_up_to(2 ** 21)[1:]}
     assert sieve_tables(2 ** 21, 2, given) == given
@@ -222,6 +235,8 @@ def test_sieve_range_validates():
         sieve_range(5, 4, 19, 2)
     with pytest.raises(DomainError):
         sieve_range(2, 10, 2, 2)
+    with pytest.raises(DomainError):
+        sieve_range(2, 10, 19, -1)
 
 
 def test_sieve_range_bound_is_checked_before_tables(monkeypatch):
