@@ -16,7 +16,9 @@ import sys
 from bisect import bisect_right
 from contextlib import contextmanager
 
-from . import billiards, exact, reduced, sieve
+# each subcommand imports the kernel modules it runs (sieve, reduced,
+# billiards) when it runs, so exact and stats start without numpy
+from . import exact
 from .errors import GoebelError
 from .fileio import read_keyed, read_rows, replace_lines
 from .modarith import is_prime
@@ -111,7 +113,7 @@ def write_rows(path, header, rows, fmt: str) -> None:
         fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
-def write_outcome_json(path, outcome: sieve.SieveOutcome) -> None:
+def write_outcome_json(path, outcome: "sieve.SieveOutcome") -> None:
     """The bytes of json.dumps(vars(outcome), indent=2) + "\\n", one survivor at a time."""
     with _output(path) as fh:
         fh.write(f'{{\n  "k_lo": {outcome.k_lo},\n  "k_hi": {outcome.k_hi},\n'
@@ -243,6 +245,8 @@ def _nth_sieved(k_lo: int, survivors: list[int], i: int) -> int:
 
 
 def cmd_sieve(args) -> int:
+    from . import sieve
+
     sieve.check_range(args.k_lo, args.k_hi, args.p_max)
     sieve.check_l(args.l)
     stored = args.tables and os.path.exists(args.tables)
@@ -278,12 +282,16 @@ def cmd_sieve(args) -> int:
 # ---------------------------------------------------------------- grids and J_p
 
 def cmd_grid(args) -> int:
+    from . import sieve
+
     pairs = sieve.grid_scan(args.p)
     write_rows(args.output, ["p", "k", "l"], [(args.p, k, l) for k, l in pairs], args.format)
     return 0
 
 
 def cmd_jp(args) -> int:
+    from . import reduced
+
     if args.classify is not None:
         rows = [(l, c.value) for l, c in enumerate(reduced.classify_all(args.classify))]
         write_rows(args.output, ["l", "classification"], rows, args.format)
@@ -294,6 +302,8 @@ def cmd_jp(args) -> int:
 
 
 def cmd_two_in_jp(args) -> int:
+    from . import reduced
+
     ps = reduced.scan_two_in_jp(args.p_max, workers=args.threads)
     write_rows(args.output, ["p"], [(p,) for p in ps], args.format)
     return 0
@@ -302,6 +312,8 @@ def cmd_two_in_jp(args) -> int:
 # ---------------------------------------------------------------- billiards and verification
 
 def _dump_line(p: int, l: int) -> str:
+    from . import billiards
+
     seq = billiards.construct_a(p, l)
     return f"{p},{l}:" + "".join("+" if v == 1 else "-" for v in seq.values)
 
@@ -313,6 +325,8 @@ def cmd_billiards(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import billiards
+
     witnesses = billiards.verify_range(args.p_min, args.p_max, workers=args.threads)
     write_rows(args.output, ["p", "l", "m"], witnesses, args.format)
     return 0

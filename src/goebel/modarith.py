@@ -6,6 +6,9 @@ by the other modules, and the quadratic-residue bitmap that the reduced
 walks and the billiard checks read the Legendre symbol from.  They read
 it through `qr_bits`, which keeps the bitmap of the last prime asked for.
 
+numpy is imported inside the prime sieve and QrTable, its only users, so
+the primality checks and factorization load without it.
+
 Every function is pure; the bitmaps are immutable after construction and
 safe to share across worker processes.
 """
@@ -13,8 +16,6 @@ safe to share across worker processes.
 import math
 from functools import lru_cache
 from itertools import chain
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -29,8 +30,10 @@ SIEVE_MAX = 10 ** 8
 _IS_PRIME_MAX = 10 ** 16
 
 
-def _sieve(n: int) -> np.ndarray:
+def _sieve(n: int) -> "numpy.ndarray":
     """flags[i] is True exactly when i <= n is prime."""
+    import numpy as np
+
     flags = np.ones(n + 1, dtype=bool)
     flags[:2] = False
     for i in range(2, math.isqrt(n) + 1):
@@ -46,7 +49,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     lo = max(lo, 2)
     if hi < lo:
         return []
-    return (np.flatnonzero(_sieve(hi)[lo:]) + lo).tolist()
+    return (_sieve(hi)[lo:].nonzero()[0] + lo).tolist()
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -141,6 +144,8 @@ class QrTable:
     __slots__ = ("p", "bits")
 
     def __init__(self, p: int):
+        import numpy as np
+
         check_odd_prime(p)
         self.p = p
         bits = np.zeros(p, dtype=np.uint8)

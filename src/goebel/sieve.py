@@ -196,7 +196,7 @@ def sieve_range(k_lo: int, k_hi: int, p_max: int, l: int, tables=None) -> SieveO
         bad = tables[(p, l % p)].bad
         if bad:
             _and_good_classes(alive, k_lo, p - 1, bad)
-    survivors = [k_lo + int(i) for i in np.flatnonzero(np.unpackbits(alive, count=n))]
+    survivors = [k_lo + i for i in np.flatnonzero(np.unpackbits(alive, count=n)).tolist()]
     return SieveOutcome(k_lo=k_lo, k_hi=k_hi, bound=primes[-1] if primes else 0, survivors=survivors)
 
 

@@ -41,6 +41,28 @@ def test_bench_tracing_targets_and_readme_quick_tour_resolve():
     assert sorted(n for n in names if not hasattr(goebel, n)) == []
 
 
+def test_package_root_exports_resolve_on_first_use(monkeypatch):
+    assert goebel.__all__ == sorted([
+        "DEFAULT_N_LIMIT", "Classification", "DomainError", "GoebelError",
+        "bad_residues", "billiard_path", "classify_l", "compute_jp", "construct_a",
+        "construct_b", "empty_iff_conditions", "exact_N", "exact_N_range", "grid_scan",
+        "jp_summaries", "prime_trace_mod_p", "primes_in_range", "scan_two_in_jp",
+        "sieve_range", "sieve_tables", "smallest_sieving_prime",
+        "verify_nonmultiplicativity", "verify_range",
+    ])
+    assert set(goebel.__all__) <= set(dir(goebel))
+    for name in goebel.__all__:
+        # drop what an earlier lookup cached, so both lookups go through __getattr__
+        monkeypatch.delitem(vars(goebel), name, raising=False)
+        value = getattr(goebel, name)
+        monkeypatch.delitem(vars(goebel), name)
+        namespace = {}
+        exec(f"from goebel import {name}", namespace)
+        submodule = importlib.import_module(f"goebel.{goebel._SUBMODULE[name]}")
+        assert value is namespace[name] is getattr(submodule, name), name
+    assert not hasattr(goebel, "no_such_name")
+
+
 def test_bench_quick_run_is_correct(tmp_path):
     """bench/run.py --quick, every workload in both trace modes, on a copy of
     the checkout, so the spans its traced rounds keep stay out of bench/.work."""

@@ -61,3 +61,25 @@ def test_inline_commands_do_not_import_the_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "False\n"
+
+
+def test_exact_and_stats_load_no_numpy_or_kernel_module(tmp_path):
+    cache = tmp_path / "cache"
+    script = (
+        "import sys\n"
+        "import goebel\n"
+        "print(sorted(m for m in sys.modules if m.startswith('goebel.')), file=sys.stderr)\n"
+        "from goebel.cli import main\n"
+        f"exact = ['exact', '--k', '2..40', '--limit', '60', '--cache-dir', {str(cache)!r}]\n"
+        "assert main(exact) == 0 and main(exact) == 0\n"  # cold, then from its cache
+        f"assert main(['stats', '--dataset', {str(cache / 'nk_l2.csv')!r}, '--prime-share']) == 0\n"
+        "heavy = ('numpy', 'goebel.sieve', 'goebel.reduced', 'goebel.billiards')\n"
+        "print([m for m in heavy if m in sys.modules], file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n[]\n"
+    assert proc.stdout.splitlines()[-2:] == ["prime_N,total,share", "15,15,1.000000"]
