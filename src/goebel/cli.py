@@ -15,6 +15,7 @@ import random
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
+from itertools import chain
 
 # each subcommand imports the kernel modules it runs (sieve, reduced,
 # billiards) when it runs, so exact and stats start without numpy
@@ -114,15 +115,28 @@ def write_rows(path, header, rows, fmt: str) -> None:
 
 
 def write_outcome_json(path, outcome: "sieve.SieveOutcome") -> None:
-    """The bytes of json.dumps(vars(outcome), indent=2) + "\\n", one survivor at a time."""
+    """The bytes of json.dumps({k_lo, k_hi, bound, survivors}, indent=2) + "\\n", a block at a time."""
     with _output(path) as fh:
         fh.write(f'{{\n  "k_lo": {outcome.k_lo},\n  "k_hi": {outcome.k_hi},\n'
                  f'  "bound": {outcome.bound},\n  "survivors": ')
         sep = "[\n    "
-        for k in outcome.survivors:
-            fh.write(f"{sep}{k}")
+        for block in outcome.survivor_blocks():
+            fh.write(sep + ",\n    ".join(map(str, block)))
             sep = ",\n    "
         fh.write("[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n")
+
+
+class _SurvivorRows:
+    """The (k,) rows of an outcome's survivors, made a block at a time; len counts them."""
+
+    def __init__(self, outcome: "sieve.SieveOutcome"):
+        self.outcome = outcome
+
+    def __len__(self) -> int:
+        return len(self.outcome.offsets)
+
+    def __iter__(self):
+        return chain.from_iterable(map(zip, self.outcome.survivor_blocks()))
 
 
 def write_text(path, lines) -> None:
@@ -234,13 +248,13 @@ def cmd_stats(args) -> int:
 
 # ---------------------------------------------------------------- sieve
 
-def _nth_sieved(k_lo: int, survivors: list[int], i: int) -> int:
-    """The i-th (from 0) k >= k_lo that is not in the ascending survivors.
+def _nth_sieved(k_lo: int, offsets, i: int) -> int:
+    """The i-th (from 0) k >= k_lo that is not k_lo plus one of the ascending offsets.
 
-    It is k_lo + i + j, where j counts the survivors with fewer than i + 1
+    It is k_lo + i + j, where j counts the offsets with fewer than i + 1
     sieved k below them; one bisection finds j.
     """
-    j = bisect_right(range(len(survivors)), i, key=lambda t: survivors[t] - k_lo - t)
+    j = bisect_right(range(len(offsets)), i, key=lambda t: int(offsets[t]) - t)
     return k_lo + i + j
 
 
@@ -260,9 +274,9 @@ def cmd_sieve(args) -> int:
         rng = random.Random(args.seed)
         # sampling indices draws the same k for a seed as sampling the list
         # of sieved k would, without building that list
-        size = args.k_hi - args.k_lo + 1 - len(outcome.survivors)
+        size = args.k_hi - args.k_lo + 1 - len(outcome.offsets)
         sample = [
-            _nth_sieved(args.k_lo, outcome.survivors, i)
+            _nth_sieved(args.k_lo, outcome.offsets, i)
             for i in rng.sample(range(size), min(args.spot_check, size))
         ]
         for k in sorted(sample):
@@ -275,7 +289,7 @@ def cmd_sieve(args) -> int:
     if args.format == "json":
         write_outcome_json(args.output, outcome)
     else:
-        write_rows(args.output, ["k"], [(k,) for k in outcome.survivors], "csv")
+        write_rows(args.output, ["k"], _SurvivorRows(outcome), "csv")
     return 0
 
 

@@ -16,9 +16,9 @@ one run per n_max.  The tests keep it as the reference that exact_N is
 checked against.
 """
 
-from dataclasses import dataclass
 from functools import partial
 from math import factorial, gcd
+from typing import NamedTuple
 
 from .errors import DomainError
 from .modarith import cumulative_product
@@ -28,8 +28,7 @@ from .parallel import pmap
 DEFAULT_N_LIMIT = 12000
 
 
-@dataclass(frozen=True)
-class BreakReport:
+class BreakReport(NamedTuple):
     k: int
     l: int
     n_break: int
@@ -37,8 +36,7 @@ class BreakReport:
     modulus_at_break: int
 
 
-@dataclass(frozen=True)
-class NkResult:
+class NkResult(NamedTuple):
     """Outcome of a breakdown-point search: n is None when the limit was exceeded."""
 
     k: int

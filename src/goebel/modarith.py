@@ -19,12 +19,14 @@ from itertools import chain
 
 from .errors import DomainError
 
-# Both range sieves take an n-byte flag array for n values, bounded here to
-# 100 MB: the prime sieve marks one, and sieve_range marks a bitmap of n/8
-# bytes and unpacks it to one to read the survivors back.  What they
-# return is not bounded by it: sieve_range's survivors cost about 50 bytes
-# each while they are read back (an int64 index and a list of ints), so a
-# 10^8 range where every k survives (l = 1) needs about 5 GB.
+# Both range sieves stop at 10^8 values.  The prime sieve marks an n-byte
+# flag array, 100 MB at the bound.  sieve_range marks a bitmap of n/8
+# bytes and reads its survivors back, a fixed block at a time, into an
+# int32 array of 4 bytes per survivor, which the bound lets fit: a 10^8
+# range where every k survives (l = 1) peaks at about 420 MB, and the
+# `sieve` command over 10^7 such k at 68 MB of RSS.  The list that
+# SieveOutcome.survivors builds costs about 36 bytes more per survivor;
+# the command never builds it.
 SIEVE_MAX = 10 ** 8
 # Trial division below this bound tries at most 5 * 10^7 divisors.
 _IS_PRIME_MAX = 10 ** 16

@@ -112,12 +112,35 @@ def bad_residues(p: int, l: int) -> BadResidueTable:
     return BadResidueTable(p=p, l=l_res, bad=tuple(int(a) for a in np.nonzero(traces)[0]))
 
 
-@dataclass(frozen=True)
+# Survivors per block, both when sieve_range reads them off its bitmap (in
+# bits) and when survivor_blocks hands them out as ints: at most 16 KB of
+# unpacked bytes and 128 KB of indices, or about 1 MB of Python ints.
+_BLOCK = 1 << 14
+
+
+@dataclass(frozen=True, eq=False)
 class SieveOutcome:
+    """The k in [k_lo, k_hi] no odd prime <= bound sieves out.
+
+    offsets holds k - k_lo for each of them, ascending, in one int32 array
+    (4 bytes per survivor); survivors and survivor_blocks turn it into
+    exact Python ints, for any k_lo.  An array has no truth value, so
+    outcomes compare by identity.
+    """
+
     k_lo: int
     k_hi: int
     bound: int
-    survivors: list[int]
+    offsets: np.ndarray
+
+    @property
+    def survivors(self) -> list[int]:
+        return [self.k_lo + i for i in self.offsets.tolist()]
+
+    def survivor_blocks(self):
+        """The survivors as ascending lists of at most _BLOCK exact ints."""
+        for start in range(0, len(self.offsets), _BLOCK):
+            yield [self.k_lo + i for i in self.offsets[start : start + _BLOCK].tolist()]
 
 
 def check_l(l: int) -> None:
@@ -180,12 +203,32 @@ def _and_good_classes(alive: np.ndarray, k_lo: int, m: int, bad) -> None:
     alive[whole:] &= pattern[: len(alive) - whole]
 
 
+def _read_offsets(alive: np.ndarray, n: int) -> np.ndarray:
+    """The positions of the set bits among the first n bits of alive, ascending, as int32.
+
+    The pad bits past n are cleared, so np.bitwise_count sizes the result
+    exactly; the bitmap is then unpacked and searched _BLOCK bits at a time.
+    """
+    if n % 8:
+        alive[-1] &= 0xFF00 >> n % 8 & 0xFF  # the last byte keeps its first n % 8 bits
+    offsets = np.empty(int(np.bitwise_count(alive).sum()), dtype=np.int32)
+    filled = 0
+    step = _BLOCK // 8
+    for start in range(0, len(alive), step):
+        found = np.flatnonzero(np.unpackbits(alive[start : start + step]))
+        found += 8 * start
+        offsets[filled : filled + len(found)] = found
+        filled += len(found)
+    return offsets
+
+
 def sieve_range(k_lo: int, k_hi: int, p_max: int, l: int, tables=None) -> SieveOutcome:
     """Cross off k in [k_lo, k_hi] whose class is bad for some odd prime <= p_max.
 
     One packed bitmap over the range, one bit per k: each prime with a bad
     class ANDs in its periodic pattern of good classes with one numpy call.
-    Survivors are read back in ascending order, as exact ints for any k_lo.
+    The survivors are read back a block at a time into one int32 array of
+    offsets from k_lo, which check_range's cap on the range size lets fit.
     """
     check_range(k_lo, k_hi, p_max)
     tables = sieve_tables(p_max, l, tables)
@@ -196,8 +239,9 @@ def sieve_range(k_lo: int, k_hi: int, p_max: int, l: int, tables=None) -> SieveO
         bad = tables[(p, l % p)].bad
         if bad:
             _and_good_classes(alive, k_lo, p - 1, bad)
-    survivors = [k_lo + i for i in np.flatnonzero(np.unpackbits(alive, count=n)).tolist()]
-    return SieveOutcome(k_lo=k_lo, k_hi=k_hi, bound=primes[-1] if primes else 0, survivors=survivors)
+    return SieveOutcome(
+        k_lo=k_lo, k_hi=k_hi, bound=primes[-1] if primes else 0, offsets=_read_offsets(alive, n)
+    )
 
 
 def smallest_sieving_prime(k: int, l: int, p_max: int, tables=None) -> int | None:

@@ -467,21 +467,30 @@ def test_stdout_rows_go_out_in_blocks_and_write_through_is_restored(tmp_path, mo
 
 
 def test_sieve_json_is_streamed_with_the_bytes_of_one_dump(tmp_path):
+    import numpy as np
+
     from goebel.cli import write_outcome_json
-    from goebel.sieve import SieveOutcome, sieve_range
+    from goebel.sieve import _BLOCK, SieveOutcome, sieve_range
+
+    def dump(outcome):
+        record = {"k_lo": outcome.k_lo, "k_hi": outcome.k_hi, "bound": outcome.bound,
+                  "survivors": outcome.survivors}
+        return (json.dumps(record, indent=2) + "\n").encode()
 
     out = tmp_path / "outcome.json"
-    for survivors in ([], [7], [5, 19, 2 ** 70]):
+    k_lo = 2 ** 64 + 3  # survivors past int64
+    # none, one, a few, and more than one block of survivors
+    for offsets in ([], [4], [2, 16, 2 ** 30], range(0, 2 * _BLOCK + 5, 2)):
         for bound in (0, 19):
-            outcome = SieveOutcome(k_lo=2, k_hi=2 ** 70, bound=bound, survivors=survivors)
+            outcome = SieveOutcome(k_lo=k_lo, k_hi=k_lo + 2 ** 31, bound=bound,
+                                   offsets=np.array(offsets, dtype=np.int32))
             write_outcome_json(str(out), outcome)
-            assert out.read_bytes() == (json.dumps(vars(outcome), indent=2) + "\n").encode()
+            assert out.read_bytes() == dump(outcome)
     assert run_cli(
         "sieve", "--k-lo", "2", "--k-hi", "400", "--p-max", "19", "--format", "json",
         "-o", str(out),
     ) == 0
-    want = json.dumps(vars(sieve_range(2, 400, 19, 2)), indent=2) + "\n"
-    assert out.read_bytes() == want.encode()
+    assert out.read_bytes() == dump(sieve_range(2, 400, 19, 2))
 
 
 def test_spot_check_samples_lazily_as_from_the_list_of_sieved_k():
@@ -492,28 +501,59 @@ def test_spot_check_samples_lazily_as_from_the_list_of_sieved_k():
     from goebel.sieve import sieve_range
 
     for k_lo, k_hi in ((2, 3000), (1001, 4000)):
-        survivors = sieve_range(k_lo, k_hi, 40, 2).survivors
-        alive = set(survivors)
+        outcome = sieve_range(k_lo, k_hi, 40, 2)
+        alive = set(outcome.survivors)
         listed = [k for k in range(k_lo, k_hi + 1) if k not in alive]
-        assert [_nth_sieved(k_lo, survivors, i) for i in range(len(listed))] == listed
+        assert [_nth_sieved(k_lo, outcome.offsets, i) for i in range(len(listed))] == listed
         for seed in range(6):
             for n in (1, 5, 100):
                 lazy = [
-                    _nth_sieved(k_lo, survivors, i)
+                    _nth_sieved(k_lo, outcome.offsets, i)
                     for i in random.Random(seed).sample(range(len(listed)), n)
                 ]
                 assert lazy == random.Random(seed).sample(listed, n)
 
-    survivors = sieve_range(2, 10 ** 6 + 1, 40, 2).survivors
+    outcome = sieve_range(2, 10 ** 6 + 1, 40, 2)
     tracemalloc.start()
     try:
-        size = 10 ** 6 - len(survivors)
-        sample = [_nth_sieved(2, survivors, i) for i in random.Random(0).sample(range(size), 100)]
+        size = 10 ** 6 - len(outcome.offsets)
+        sample = [
+            _nth_sieved(2, outcome.offsets, i) for i in random.Random(0).sample(range(size), 100)
+        ]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(set(sample) & set(survivors)) == 0
+    assert len(set(sample) & set(outcome.survivors)) == 0
     assert peak < 100_000  # a list of the ~10^6 sieved k takes about 8 MB for its pointers alone
+
+
+def test_all_survivor_sieve_holds_a_few_bytes_per_survivor(tmp_path):
+    # with l = 1 every k survives; a list of ints and a (k,) tuple per
+    # survivor took this command to a 227 MB peak
+    import subprocess
+    from pathlib import Path
+
+    out = tmp_path / "all.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = ["sieve", "--k-lo", "2", "--k-hi", "2000001", "--p-max", "19", "--l", "1"]
+    # a child's ru_maxrss counts the memory of the process that forks it, so
+    # a small process starts the command; wait4 reads that child's own peak,
+    # which RUSAGE_CHILDREN would merge with those of earlier children
+    starter = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:])\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", starter, sys.executable, "-m", "goebel", *argv, "-o", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, maxrss_kb = map(int, proc.stdout.split())
+    assert rc == 0, proc.stderr
+    assert maxrss_kb < 80 * 1024
+    assert out.read_text() == "k\n" + "".join(f"{k}\n" for k in range(2, 2000002))
 
 
 def test_grid_cli(tmp_path):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from goebel import (
@@ -202,6 +203,25 @@ def test_bitmap_sieve_matches_the_strided_oracle():
     every = {**tables[2], (43, 2): BadResidueTable(p=43, l=2, bad=tuple(range(42)))}
     for k_lo, k_hi in ((2, 20), (5, 100000), (2 ** 64, 2 ** 64 + 99)):
         assert sieve_range(k_lo, k_hi, 43, 2, every).survivors == []
+
+
+def test_survivors_are_read_back_in_blocks_as_the_strided_oracle_finds_them():
+    from goebel.sieve import _BLOCK
+
+    tables = sieve_tables(19, 2)
+    for k_lo in (2, 13, 2 ** 63 + 5):
+        for n in (1, 7, 8, 9, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+            k_hi = k_lo + n - 1
+            out = sieve_range(k_lo, k_hi, 19, 2, tables)
+            assert out.offsets.dtype == np.int32
+            assert out.survivors == strided_sieve(k_lo, k_hi, 19, 2, tables), (k_lo, n)
+            assert all(type(k) is int for k in out.survivors)
+            assert [k for block in out.survivor_blocks() for k in block] == out.survivors
+    # every k survives: the pad bits after k_hi are not counted
+    for n in (1, 9, _BLOCK + 1):
+        assert sieve_range(2 ** 64, 2 ** 64 + n - 1, 19, 1).survivors == [
+            2 ** 64 + i for i in range(n)
+        ]
 
 
 def test_short_range_with_many_given_tables_matches_the_strided_oracle(monkeypatch):
