@@ -15,7 +15,6 @@ import random
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
-from itertools import chain
 
 # each subcommand imports the kernel modules it runs (sieve, reduced,
 # billiards) when it runs, so exact and stats start without numpy
@@ -97,13 +96,17 @@ def write_rows(path, header, rows, fmt: str) -> None:
     """rows are tuples of scalars matching header; None fields serialize as empty/null.
 
     JSON is written one record at a time, with the bytes of
-    json.dumps(records, indent=2) + "\\n" for the list of records.
+    json.dumps(records, indent=2) + "\\n" for the list of records.  A
+    _SurvivorRows source (CSV only) hands over its lines as text blocks.
     """
     with _output(path) as fh:
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            if isinstance(rows, _SurvivorRows):
+                fh.writelines(rows.outcome.text_blocks("", "\n"))
+            else:
+                writer.writerows(rows)
             return
         keys = [f"    {json.dumps(key)}: " for key in header]
         sep = "[\n"
@@ -119,15 +122,20 @@ def write_outcome_json(path, outcome: "sieve.SieveOutcome") -> None:
     with _output(path) as fh:
         fh.write(f'{{\n  "k_lo": {outcome.k_lo},\n  "k_hi": {outcome.k_hi},\n'
                  f'  "bound": {outcome.bound},\n  "survivors": ')
-        sep = "[\n    "
-        for block in outcome.survivor_blocks():
-            fh.write(sep + ",\n    ".join(map(str, block)))
-            sep = ",\n    "
-        fh.write("[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n")
+        # each survivor's line starts with the separator before it, and the
+        # first one's comma becomes the opening bracket
+        blocks = outcome.text_blocks(",\n    ", "")
+        first = next(blocks, None)
+        if first is None:
+            fh.write("[]\n}\n")
+            return
+        fh.write("[" + first[1:])
+        fh.writelines(blocks)
+        fh.write("\n  ]\n}\n")
 
 
 class _SurvivorRows:
-    """The (k,) rows of an outcome's survivors, made a block at a time; len counts them."""
+    """The (k,) rows of an outcome's survivors, which write_rows writes as text; len counts them."""
 
     def __init__(self, outcome: "sieve.SieveOutcome"):
         self.outcome = outcome
@@ -135,8 +143,19 @@ class _SurvivorRows:
     def __len__(self) -> int:
         return len(self.outcome.offsets)
 
+
+class _SizedRows:
+    """count rows, made one at a time as they are written; len gives the count up front."""
+
+    def __init__(self, count: int, rows):
+        self.count = count
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return self.count
+
     def __iter__(self):
-        return chain.from_iterable(map(zip, self.outcome.survivor_blocks()))
+        return iter(self.rows)
 
 
 def write_text(path, lines) -> None:
@@ -218,16 +237,17 @@ def cmd_stats(args) -> int:
     exact_rows = [(k, n) for k, _, n in data if n is not None]
     if args.mean_mod:
         d = args.mean_mod
-        sums = [0] * d
-        counts = [0] * d
+        # only the classes that occur in the data; every other class is an empty row
+        sums = {}
+        counts = {}
         for k, n in exact_rows:
-            sums[k % d] += n
-            counts[k % d] += 1
-        rows = [
-            (a, counts[a], f"{sums[a] / counts[a]:.6f}" if counts[a] else None)
+            sums[k % d] = sums.get(k % d, 0) + n
+            counts[k % d] = counts.get(k % d, 0) + 1
+        rows = (
+            (a, counts[a], f"{sums[a] / counts[a]:.6f}") if a in counts else (a, 0, None)
             for a in range(d)
-        ]
-        write_rows(args.output, ["class", "count", "mean"], rows, args.format)
+        )
+        write_rows(args.output, ["class", "count", "mean"], _SizedRows(d, rows), args.format)
     elif args.records:
         best = 0
         rows = []

@@ -17,6 +17,7 @@ prime_trace_mod_p directly.
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +93,7 @@ def _trace(p: int, U, E) -> np.ndarray:
     return ((p - 1) * U + power(U)) % p
 
 
-@dataclass(frozen=True)
-class BadResidueTable:
+class BadResidueTable(NamedTuple):
     """Residue classes a with non-integrality at p for start value l.
 
     a is in [0, p-2]; class 0 is evaluated at exponent p-1 (k >= 1
@@ -113,9 +113,28 @@ def bad_residues(p: int, l: int) -> BadResidueTable:
 
 
 # Survivors per block, both when sieve_range reads them off its bitmap (in
-# bits) and when survivor_blocks hands them out as ints: at most 16 KB of
-# unpacked bytes and 128 KB of indices, or about 1 MB of Python ints.
+# bits) and when text_blocks writes them out as decimal lines: at most
+# 16 KB of unpacked bytes and 128 KB of indices, or about 0.5 MB of text.
 _BLOCK = 1 << 14
+# text_blocks splits k_lo as q * 10^10 + r.  r plus an offset, which is below
+# SIEVE_MAX, stays under 2 * 10^10 in int64: numpy writes each line's low 10
+# digits from it, and str the high ones, q or q + 1.
+_LOW_DIGITS = 10
+_LOW = 10 ** _LOW_DIGITS
+# 10^1, ..., 10^10: a value v below _LOW has 1 + (how many of them are <= v) digits
+_POW10 = 10 ** np.arange(1, _LOW_DIGITS + 1, dtype=np.int64)
+
+
+def _decimal_lines(values: np.ndarray, lead: str, digits: int, tail: str) -> bytes:
+    """lead + the last `digits` decimal digits of each value, zero-padded, + tail, as ASCII."""
+    lines = np.empty((len(values), len(lead) + digits + len(tail)), dtype=np.uint8)
+    lines[:, : len(lead)] = np.frombuffer(lead.encode("ascii"), dtype=np.uint8)
+    lines[:, len(lead) + digits :] = np.frombuffer(tail.encode("ascii"), dtype=np.uint8)
+    for col in range(len(lead) + digits - 1, len(lead) - 1, -1):
+        values, digit = np.divmod(values, 10)
+        lines[:, col] = digit
+    lines[:, len(lead) : len(lead) + digits] += ord("0")
+    return lines.tobytes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +142,9 @@ class SieveOutcome:
     """The k in [k_lo, k_hi] no odd prime <= bound sieves out.
 
     offsets holds k - k_lo for each of them, ascending, in one int32 array
-    (4 bytes per survivor); survivors and survivor_blocks turn it into
-    exact Python ints, for any k_lo.  An array has no truth value, so
-    outcomes compare by identity.
+    (4 bytes per survivor); survivors turns it into exact Python ints and
+    text_blocks into decimal text, for any k_lo >= 0.  An array has no truth
+    value, so outcomes compare by identity.
     """
 
     k_lo: int
@@ -137,10 +156,36 @@ class SieveOutcome:
     def survivors(self) -> list[int]:
         return [self.k_lo + i for i in self.offsets.tolist()]
 
-    def survivor_blocks(self):
-        """The survivors as ascending lists of at most _BLOCK exact ints."""
+    def text_blocks(self, prefix: str, suffix: str):
+        """prefix + str(k) + suffix for each survivor k, joined into one str per _BLOCK survivors.
+
+        With q, r = divmod(k_lo, 10^10), each k is q * 10^10 + (r + offset),
+        and r + offset < 2 * 10^10 fits int64.  Where it reaches 10^10 the
+        high digits are str(q + 1).  Survivors ascend, so a block splits into
+        at most two such parts, and for q = 0 the part below 10^10 into runs
+        of one digit count; each run is one uint8 matrix of lines.
+        """
+        q, r = divmod(self.k_lo, _LOW)
+        high = str(q) if q else ""
+        carried = prefix + str(q + 1)
         for start in range(0, len(self.offsets), _BLOCK):
-            yield [self.k_lo + i for i in self.offsets[start : start + _BLOCK].tolist()]
+            values = self.offsets[start : start + _BLOCK].astype(np.int64)
+            values += r
+            carry = int(np.searchsorted(values, _LOW))
+            low = values[:carry]
+            if high:
+                runs = [_decimal_lines(low, prefix + high, _LOW_DIGITS, suffix)]
+            else:
+                # ends[d - 1] is the end of the run of d-digit values
+                ends = np.searchsorted(low, _POW10).tolist()
+                runs = [
+                    _decimal_lines(low[begin:end], prefix, digits, suffix)
+                    for digits, (begin, end) in enumerate(zip([0] + ends, ends), start=1)
+                    if begin < end
+                ]
+            if carry < len(values):
+                runs.append(_decimal_lines(values[carry:] - _LOW, carried, _LOW_DIGITS, suffix))
+            yield b"".join(runs).decode("ascii")
 
 
 def check_l(l: int) -> None:

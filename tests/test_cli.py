@@ -307,14 +307,66 @@ def test_stats_mean_mod_rejects_nonpositive_modulus(tmp_path):
         assert exc.value.code == 2
 
 
-def test_out_of_memory_is_one_error_line(tmp_path, capsys):
-    data = tmp_path / "d.csv"
-    data.write_text("k,l,N,status\n4,2,97,exact\n", encoding="ascii")
-    # 10^11 classes ask for one 800 GB list, which is refused before any of it is allocated
-    assert run_cli("stats", "--dataset", str(data), "--mean-mod", "100000000000") == 1
+def test_out_of_memory_is_one_error_line(capsys):
+    # classifying every l of a prime near 10^11 asks for one 800 GB list,
+    # which is refused before any of it is allocated
+    assert run_cli("jp", "--classify", "100000000003") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory\n"
+
+
+def _write_dataset(path, rows) -> None:
+    lines = ["k,l,N,status"] + [
+        f"{k},2,{'' if n is None else n},{'exceeded' if n is None else 'exact'}" for k, n in rows
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def test_stats_mean_mod_writes_the_row_of_every_class(tmp_path):
+    """The bytes of a (class, count, mean) row per class, from lists of d sums and counts."""
+    data = tmp_path / "d.csv"
+    rows = [(2, 3), (4, 97), (5, None), (9, 11), (11, 43), (12, 19), (30, 7), (31, None), (47, 5)]
+    _write_dataset(data, rows)
+    exact_rows = [(k, n) for k, n in rows if n is not None]
+    for d in (1, 2, 3, 7, 18, 50):
+        sums = [0] * d
+        counts = [0] * d
+        for k, n in exact_rows:
+            sums[k % d] += n
+            counts[k % d] += 1
+        means = [f"{sums[a] / counts[a]:.6f}" if counts[a] else None for a in range(d)]
+        want = [{"class": a, "count": counts[a], "mean": means[a]} for a in range(d)]
+        csv_want = "class,count,mean\n" + "".join(
+            f"{r['class']},{r['count']},{r['mean'] or ''}\n" for r in want
+        )
+        for fmt, expected in (("csv", csv_want), ("json", json.dumps(want, indent=2) + "\n")):
+            out = tmp_path / f"means.{fmt}"
+            assert run_cli("stats", "--dataset", str(data), "--mean-mod", str(d),
+                           "--format", fmt, "-o", str(out)) == 0
+            assert out.read_bytes() == expected.encode("ascii"), (d, fmt)
+
+
+def test_stats_mean_mod_holds_the_classes_of_the_data_not_every_class(tmp_path):
+    # lists of d sums, counts and rows took a one-row dataset at d = 3 * 10^6 to a 373 MB peak
+    import tracemalloc
+
+    data = tmp_path / "d.csv"
+    _write_dataset(data, [(4, 97)])
+    out = tmp_path / "means.csv"
+    d = 10 ** 6
+    tracemalloc.start()
+    try:
+        assert run_cli("stats", "--dataset", str(data), "--mean-mod", str(d), "-o", str(out)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with open(out, encoding="ascii") as fh:
+        assert next(fh) == "class,count,mean\n"
+        for a, line in enumerate(fh):
+            assert line == (f"{a},1,97.000000\n" if a == 4 else f"{a},0,\n")
+    assert a == d - 1
 
 
 def test_stats_bad_dataset_row_is_an_error(tmp_path, capsys):
@@ -491,6 +543,41 @@ def test_sieve_json_is_streamed_with_the_bytes_of_one_dump(tmp_path):
         "-o", str(out),
     ) == 0
     assert out.read_bytes() == dump(sieve_range(2, 400, 19, 2))
+
+
+def test_survivor_text_has_the_bytes_of_str_in_csv_and_json(tmp_path):
+    """The numpy decimal lines of sieve's CSV and JSON against str() of each exact survivor."""
+    import numpy as np
+
+    from goebel.cli import _SurvivorRows, write_outcome_json, write_rows
+    from goebel.sieve import _BLOCK, SieveOutcome
+
+    def check(k_lo, offsets):
+        outcome = SieveOutcome(k_lo=k_lo, k_hi=k_lo + 10 ** 8 - 1, bound=19,
+                               offsets=np.array(offsets, dtype=np.int32))
+        survivors = [k_lo + i for i in offsets]
+        out = tmp_path / "survivors"
+        write_rows(str(out), ["k"], _SurvivorRows(outcome), "csv")
+        assert out.read_bytes() == "".join(f"{k}\n" for k in ["k", *survivors]).encode(), k_lo
+        write_outcome_json(str(out), outcome)
+        record = {"k_lo": k_lo, "k_hi": outcome.k_hi, "bound": 19, "survivors": survivors}
+        assert out.read_bytes() == (json.dumps(record, indent=2) + "\n").encode(), k_lo
+
+    # none, one, and more than one block of survivors, up to the largest offset
+    many = [*range(0, 2 * _BLOCK + 5, 3), 10 ** 8 - 1]
+    for k_lo in (2, 10 ** 10 - 10 ** 8 + 7, 2 ** 64 + 3):
+        for offsets in ([], [5], many):
+            check(k_lo, offsets)
+    # every digit-count boundary from 9 -> 10 to 10^18 - 1 -> 10^18, at the
+    # start of a block and inside one
+    for e in range(1, 19):
+        check(10 ** e - 3, range(6))
+        check(max(2, 10 ** e - _BLOCK), range(_BLOCK + 3))
+    # the low 10 digits carry into the high ones q, from q = 0 up; at
+    # q = 999 the carry adds a high digit
+    for q in (0, 1, 999, 10 ** 9 - 1, 2 ** 70):
+        check(q * 10 ** 10 + 10 ** 10 - 2, range(5))
+        check(q * 10 ** 10 + 10 ** 10 - 10 ** 8 + 1, [0, _BLOCK, 10 ** 8 - 2, 10 ** 8 - 1])
 
 
 def test_spot_check_samples_lazily_as_from_the_list_of_sieved_k():

@@ -216,7 +216,7 @@ def test_survivors_are_read_back_in_blocks_as_the_strided_oracle_finds_them():
             assert out.offsets.dtype == np.int32
             assert out.survivors == strided_sieve(k_lo, k_hi, 19, 2, tables), (k_lo, n)
             assert all(type(k) is int for k in out.survivors)
-            assert [k for block in out.survivor_blocks() for k in block] == out.survivors
+            assert "".join(out.text_blocks("", "\n")) == "".join(f"{k}\n" for k in out.survivors)
     # every k survives: the pad bits after k_hi are not counted
     for n in (1, 9, _BLOCK + 1):
         assert sieve_range(2 ** 64, 2 ** 64 + n - 1, 19, 1).survivors == [
