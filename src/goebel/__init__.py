@@ -22,7 +22,6 @@ _SUBMODULE = {
         "billiards": (
             "billiard_path",
             "construct_a",
-            "construct_b",
             "empty_iff_conditions",
             "verify_nonmultiplicativity",
             "verify_range",

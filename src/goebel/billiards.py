@@ -12,7 +12,6 @@ its witness batches.
 """
 
 import gc
-from dataclasses import dataclass
 from itertools import chain, repeat
 from math import gcd
 from typing import NamedTuple
@@ -24,8 +23,7 @@ from .modarith import check_qualifying_prime, is_prime, qr_bits, qualifying_prim
 from .parallel import pmap
 
 
-@dataclass(frozen=True)
-class BilliardPath:
+class BilliardPath(NamedTuple):
     """Boundary lattice points of the reflection rectangle, in visit order.
 
     points excludes the entry and exit corners (start and end); sigma and
@@ -41,8 +39,7 @@ class BilliardPath:
     end: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SignSequence:
+class SignSequence(NamedTuple):
     """A +-1 sequence: kind "a" of length p-1, or kind "b" of length l+1.
 
     Kind "b" extends periodically modulo l+1 to every integer index.

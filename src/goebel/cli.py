@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from . import exact
 from .errors import GoebelError
 from .fileio import read_keyed, read_rows, replace_lines
-from .modarith import is_prime
+from .modarith import SIEVE_MAX, is_prime
 
 CACHE_ENV = "GOEBEL_CACHE"
 
@@ -38,11 +38,13 @@ def parse_krange(text: str) -> range:
     return r
 
 
-def _int_at_least(lo: int):
-    """An argparse type for the integers >= lo; anything else is a usage error."""
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type for the integers >= lo, and <= hi if given; anything else is a usage error."""
     def integer(text: str) -> int:
         if int(text) < lo:
             raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text}")
+        if hi is not None and int(text) > hi:
+            raise argparse.ArgumentTypeError(f"expected an integer <= {hi}, got {text}")
         return int(text)
     return integer
 
@@ -372,7 +374,7 @@ def _add_common(sp, cache=False, seed=False, threads=False):
     sp.add_argument("-o", "--output", default="-", help="output path, '-' for stdout")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     if threads:
-        sp.add_argument("--threads", type=_int_at_least(1), default=1, help="worker processes")
+        sp.add_argument("--threads", type=_int_in(1), default=1, help="worker processes")
     if cache:
         sp.add_argument("--cache-dir", default=None, help=f"cache directory (or ${CACHE_ENV})")
     if seed:
@@ -386,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exact", help="exact integrality breakdown points over a k range")
     sp.add_argument("--k", type=parse_krange, required=True, help="k or k_lo..k_hi")
     sp.add_argument("--l", type=int, default=2)
-    sp.add_argument("--limit", type=_int_at_least(2), default=exact.DEFAULT_N_LIMIT)
+    sp.add_argument("--limit", type=_int_in(2), default=exact.DEFAULT_N_LIMIT)
     sp.add_argument("--no-cache", action="store_true")
     _add_common(sp, cache=True, threads=True)
     sp.set_defaults(fn=cmd_exact)
@@ -394,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stats", help="statistics over a computed dataset")
     sp.add_argument("--dataset", required=True)
     mode = sp.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--mean-mod", type=_int_at_least(1), metavar="D")
+    mode.add_argument("--mean-mod", type=_int_in(1, SIEVE_MAX), metavar="D")
     mode.add_argument("--records", action="store_true")
     mode.add_argument("--prime-share", action="store_true")
     _add_common(sp)
@@ -406,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-max", type=int, required=True)
     sp.add_argument("--l", type=int, default=2)
     sp.add_argument("--tables", default=None, help="sieve-table cache file")
-    sp.add_argument("--spot-check", type=_int_at_least(0), default=0, metavar="N")
+    sp.add_argument("--spot-check", type=_int_in(0), default=0, metavar="N")
     _add_common(sp, seed=True, threads=True)
     sp.set_defaults(fn=cmd_sieve)
 

@@ -27,9 +27,9 @@ prime, so a prime's walks build it once.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class Classification(Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class JpSummary:
+class JpSummary(NamedTuple):
     p: int
     l_L: int
     l_R: int

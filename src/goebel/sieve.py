@@ -2,10 +2,10 @@
 
 The non-integrality test at an odd prime p depends on k only through
 k mod (p-1), so one bad residue class eliminates a whole arithmetic
-progression of k values.  Tables of bad classes come from one vectorized
-trace that runs over all exponent classes, or all start values, at once
-(discrete logs against a primitive root).  The scalar prime_trace_mod_p
-is the reference the tests compare it against.
+progression of k values.  A table of bad classes comes from one vectorized
+trace over all exponent classes at once (discrete logs against a primitive
+root), and the (k, l) grid of a prime is the union of its tables.  The
+scalar prime_trace_mod_p is the reference the tests compare it against.
 
 Exponent-class convention: table entries are labeled by a in [0, p-2].
 For callers with actual k >= 1 the class a = 0 stands for k = p-1,
@@ -302,14 +302,10 @@ def grid_scan(p: int) -> list[tuple[int, int]]:
     """All (k, l) in [0, p-2] x [0, p-1] with non-integrality at p, sorted.
 
     Rows are residue classes of actual k (class 0 evaluated at exponent
-    p-1), columns are start values mod p.
+    p-1), columns are start values mod p: column l is bad_residues(p, l).
     """
     check_odd_prime(p)
-    pairs = []
-    for a in range(p - 1):
-        traces = _trace(p, np.arange(p), a)
-        pairs.extend((a, int(l)) for l in np.nonzero(traces)[0])
-    return pairs
+    return sorted((a, l) for l in range(p) for a in bad_residues(p, l).bad)
 
 
 def format_table_line(table: BadResidueTable) -> str:

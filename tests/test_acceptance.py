@@ -177,7 +177,7 @@ def test_criterion_08_billiards_golden_and_uniqueness():
             ok_unique_a = ok_unique_a and sols == [construct_a(p, l).values]
     from math import gcd
 
-    from goebel import construct_b
+    from goebel.billiards import construct_b
 
     ok_unique_b = True
     for l in range(0, 15, 2):

@@ -45,7 +45,7 @@ def test_package_root_exports_resolve_on_first_use(monkeypatch):
     assert goebel.__all__ == sorted([
         "DEFAULT_N_LIMIT", "Classification", "DomainError", "GoebelError",
         "bad_residues", "billiard_path", "classify_l", "compute_jp", "construct_a",
-        "construct_b", "empty_iff_conditions", "exact_N", "exact_N_range", "grid_scan",
+        "empty_iff_conditions", "exact_N", "exact_N_range", "grid_scan",
         "jp_summaries", "prime_trace_mod_p", "primes_in_range", "scan_two_in_jp",
         "sieve_range", "sieve_tables", "smallest_sieving_prime",
         "verify_nonmultiplicativity", "verify_range",

@@ -7,13 +7,13 @@ from goebel import (
     classify_l,
     compute_jp,
     construct_a,
-    construct_b,
     empty_iff_conditions,
     primes_in_range,
     verify_nonmultiplicativity,
     verify_range,
 )
 from goebel import billiards, modarith
+from goebel.billiards import construct_b
 from goebel.errors import DomainError, NoWitness
 
 from . import checks

@@ -307,6 +307,19 @@ def test_stats_mean_mod_rejects_nonpositive_modulus(tmp_path):
         assert exc.value.code == 2
 
 
+def test_stats_mean_mod_above_the_package_bound_is_a_usage_error(tmp_path, capsys):
+    # D rows are written, so D stops where every other range does, at 10^8;
+    # the usage error comes before the dataset, which does not exist, is read
+    with pytest.raises(SystemExit) as exc:
+        run_cli("stats", "--dataset", str(tmp_path / "none.csv"), "--mean-mod", "100000001")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: goebel stats ")
+    assert captured.err.endswith(
+        "error: argument --mean-mod: expected an integer <= 100000000, got 100000001\n")
+
+
 def test_out_of_memory_is_one_error_line(capsys):
     # classifying every l of a prime near 10^11 asks for one 800 GB list,
     # which is refused before any of it is allocated

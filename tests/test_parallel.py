@@ -86,3 +86,23 @@ def test_exact_and_stats_load_no_numpy_or_kernel_module(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[]\n[]\n"
     assert proc.stdout.splitlines()[-2:] == ["prime_N,total,share", "15,15,1.000000"]
+
+
+def test_walk_and_billiard_commands_load_no_dataclasses():
+    # their records are named tuples; the sieve's outcome is the one dataclass
+    script = (
+        "import sys\n"
+        "preloaded = 'dataclasses' in sys.modules\n"
+        "from goebel.cli import main\n"
+        "for argv in (['jp', '--p-max', '349'], ['two-in-jp', '--p-max', '2000'],\n"
+        "             ['verify', '--p-max', '200'], ['billiards', '--p', '37']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "heavy = () if preloaded else ('dataclasses',)\n"
+        "print([m for m in heavy if m in sys.modules], file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
