@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from bisect import bisect_right
 from contextlib import contextmanager
 
 # each subcommand imports the kernel modules it runs (sieve, reduced,
@@ -98,15 +97,15 @@ def write_rows(path, header, rows, fmt: str) -> None:
     """rows are tuples of scalars matching header; None fields serialize as empty/null.
 
     JSON is written one record at a time, with the bytes of
-    json.dumps(records, indent=2) + "\\n" for the list of records.  A
-    _SurvivorRows source (CSV only) hands over its lines as text blocks.
+    json.dumps(records, indent=2) + "\\n" for the list of records.  Rows
+    with text_blocks, as a SieveOutcome has, hand over CSV lines as text.
     """
     with _output(path) as fh:
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            if isinstance(rows, _SurvivorRows):
-                fh.writelines(rows.outcome.text_blocks("", "\n"))
+            if hasattr(rows, "text_blocks"):
+                fh.writelines(rows.text_blocks("", "\n"))
             else:
                 writer.writerows(rows)
             return
@@ -134,16 +133,6 @@ def write_outcome_json(path, outcome: "sieve.SieveOutcome") -> None:
         fh.write("[" + first[1:])
         fh.writelines(blocks)
         fh.write("\n  ]\n}\n")
-
-
-class _SurvivorRows:
-    """The (k,) rows of an outcome's survivors, which write_rows writes as text; len counts them."""
-
-    def __init__(self, outcome: "sieve.SieveOutcome"):
-        self.outcome = outcome
-
-    def __len__(self) -> int:
-        return len(self.outcome.offsets)
 
 
 class _SizedRows:
@@ -270,16 +259,6 @@ def cmd_stats(args) -> int:
 
 # ---------------------------------------------------------------- sieve
 
-def _nth_sieved(k_lo: int, offsets, i: int) -> int:
-    """The i-th (from 0) k >= k_lo that is not k_lo plus one of the ascending offsets.
-
-    It is k_lo + i + j, where j counts the offsets with fewer than i + 1
-    sieved k below them; one bisection finds j.
-    """
-    j = bisect_right(range(len(offsets)), i, key=lambda t: int(offsets[t]) - t)
-    return k_lo + i + j
-
-
 def cmd_sieve(args) -> int:
     from . import sieve
 
@@ -296,11 +275,8 @@ def cmd_sieve(args) -> int:
         rng = random.Random(args.seed)
         # sampling indices draws the same k for a seed as sampling the list
         # of sieved k would, without building that list
-        size = args.k_hi - args.k_lo + 1 - len(outcome.offsets)
-        sample = [
-            _nth_sieved(args.k_lo, outcome.offsets, i)
-            for i in rng.sample(range(size), min(args.spot_check, size))
-        ]
+        size = args.k_hi - args.k_lo + 1 - len(outcome)
+        sample = [outcome.nth_sieved(i) for i in rng.sample(range(size), min(args.spot_check, size))]
         for k in sorted(sample):
             bound = sieve.smallest_sieving_prime(k, args.l, args.p_max, tables)
             result = exact.exact_N(k, args.l, bound)
@@ -311,7 +287,7 @@ def cmd_sieve(args) -> int:
     if args.format == "json":
         write_outcome_json(args.output, outcome)
     else:
-        write_rows(args.output, ["k"], _SurvivorRows(outcome), "csv")
+        write_rows(args.output, ["k"], outcome, "csv")
     return 0
 
 
@@ -355,6 +331,11 @@ def _dump_line(p: int, l: int) -> str:
 
 
 def cmd_billiards(args) -> int:
+    from . import billiards
+
+    # l = 0 is valid for every p the billiards take, so a bad p is rejected
+    # even where it leaves no l to list
+    billiards._check_pl(args.p, 0)
     ls = [args.l] if args.l is not None else list(range(0, args.p - 2, 2))
     write_text(args.output, [_dump_line(args.p, l) for l in ls])
     return 0

@@ -14,6 +14,7 @@ For callers with actual k >= 1 the class a = 0 stands for k = p-1,
 prime_trace_mod_p directly.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd
@@ -106,6 +107,7 @@ class BadResidueTable(NamedTuple):
 
 
 def bad_residues(p: int, l: int) -> BadResidueTable:
+    _check_trace_prime(p)
     check_odd_prime(p)
     l_res = l % p
     traces = _trace(p, l_res, np.arange(p - 1))
@@ -142,9 +144,9 @@ class SieveOutcome:
     """The k in [k_lo, k_hi] no odd prime <= bound sieves out.
 
     offsets holds k - k_lo for each of them, ascending, in one int32 array
-    (4 bytes per survivor); survivors turns it into exact Python ints and
-    text_blocks into decimal text, for any k_lo >= 0.  An array has no truth
-    value, so outcomes compare by identity.
+    (4 bytes per survivor); survivors and text_blocks give exact ints and
+    decimal text for any k_lo >= 0, len the count, nth_sieved the k between.
+    An array has no truth value, so outcomes compare by identity.
     """
 
     k_lo: int
@@ -152,9 +154,21 @@ class SieveOutcome:
     bound: int
     offsets: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.offsets)
+
     @property
     def survivors(self) -> list[int]:
         return [self.k_lo + i for i in self.offsets.tolist()]
+
+    def nth_sieved(self, i: int) -> int:
+        """The i-th (from 0) k >= k_lo that is not a survivor.
+
+        It is k_lo + i + j, where j counts the survivors with fewer than
+        i + 1 sieved k below them; one bisection finds j.
+        """
+        j = bisect_right(range(len(self)), i, key=lambda t: int(self.offsets[t]) - t)
+        return self.k_lo + i + j
 
     def text_blocks(self, prefix: str, suffix: str):
         """prefix + str(k) + suffix for each survivor k, joined into one str per _BLOCK survivors.
@@ -304,6 +318,7 @@ def grid_scan(p: int) -> list[tuple[int, int]]:
     Rows are residue classes of actual k (class 0 evaluated at exponent
     p-1), columns are start values mod p: column l is bad_residues(p, l).
     """
+    _check_trace_prime(p)
     check_odd_prime(p)
     return sorted((a, l) for l in range(p) for a in bad_residues(p, l).bad)
 

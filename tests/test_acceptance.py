@@ -40,8 +40,14 @@ from .goldens import (
     SIGMA_37_12,
     TWO_IN_JP_BELOW_1E4,
 )
-from .oracles import first_nonintegral, goebel_terms, plocal_trace, rational_trace_at_p
-from .test_billiards import brute_force_a, brute_force_b
+from .oracles import (
+    brute_force_a,
+    brute_force_b,
+    first_nonintegral,
+    goebel_terms,
+    plocal_trace,
+    rational_trace_at_p,
+)
 
 WORKERS = os.cpu_count() or 1
 

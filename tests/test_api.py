@@ -1,5 +1,6 @@
 """The names the benchmark harness and the README reach into must exist."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -114,3 +115,22 @@ def test_kernels_take_no_residue_table_and_one_module_builds_it():
     assert builders == ["modarith.py"]
     for fn in (final_value, classify_l, empty_iff_conditions):
         assert list(inspect.signature(fn).parameters) == ["p", "l"], fn.__name__
+
+
+def test_no_test_module_imports_another_test_module():
+    """Reference code shared by tests lives in tests/oracles.py, not in a test_* module."""
+
+    def is_test_module(name):
+        return name.rpartition(".")[2].startswith("test_")
+
+    imports = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            imports += [(path.name, name) for name in names if is_test_module(name)]
+    assert imports == []

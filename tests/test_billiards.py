@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from goebel import (
@@ -16,17 +15,19 @@ from goebel import billiards, modarith
 from goebel.billiards import construct_b
 from goebel.errors import DomainError, NoWitness
 
-from . import checks
-from .checks import (
+from . import oracles
+from .goldens import A_37_12_FIRST_HALF, B_2_0, B_8_2, SIGMA_37_12
+from .oracles import (
     a_equals_b_consistency,
     b_query,
+    brute_force_a,
+    brute_force_b,
     check_b_symmetries,
     psi,
     reduced_trace,
     scalar_witnesses,
     zigzag,
 )
-from .goldens import A_37_12_FIRST_HALF, B_2_0, B_8_2, SIGMA_37_12
 
 
 def _valid_pl(p_max):
@@ -34,47 +35,6 @@ def _valid_pl(p_max):
         if p % 4 == 1:
             for l in range(0, p - 2, 2):
                 yield p, l
-
-
-# ------------------------------------------------------------- brute force
-
-def brute_force_a(p, l):
-    """Every half-assignment satisfying the four sign conditions, enumerated.
-
-    A bit set at position i-1 means a(i) = -1; the mirror condition pins
-    the upper half, so enumerating 2^((p-1)/2) assignments is exhaustive.
-    """
-    m = (p - 1) // 2
-    idx = lambda x: x if x <= m else p - x
-    A = np.arange(1 << m, dtype=np.uint32)
-    ok = (A & 1) == 0  # a(1) = +1
-    for n in range(1, l // 2 + 1):
-        i, j = idx(n), idx(l + 1 - n)
-        ok &= ((A >> (i - 1) ^ A >> (j - 1)) & 1) == 1
-    for n in range(1, p - l - 1):
-        i, j = idx(n), idx(l + 1 + n)
-        ok &= ((A >> (i - 1) ^ A >> (j - 1)) & 1) == 0
-    sols = []
-    for bits in A[ok]:
-        bits = int(bits)
-        half = [-1 if bits >> (i - 1) & 1 else 1 for i in range(1, m + 1)]
-        sols.append(tuple(half + [half[p - n - 1] for n in range(m + 1, p)]))
-    return sols
-
-
-def brute_force_b(l, s):
-    """Every period-(l+1) assignment satisfying the two reflection relations."""
-    m = l + 1
-    bit = lambda n: (n - 1) % m
-    A = np.arange(1 << m, dtype=np.uint32)
-    ok = (A & 1) == 0  # b(1) = +1
-    for n in range(1, m):
-        ok &= ((A >> bit(n) ^ A >> bit(l + 1 - n)) & 1) == 1
-    for n in range(0, m):
-        ok &= ((A >> bit(s - n) ^ A >> bit(s + 1 + n)) & 1) == 0
-    return [
-        tuple(-1 if int(bits) >> bit(n) & 1 else 1 for n in range(1, m + 1)) for bits in A[ok]
-    ]
 
 
 # ------------------------------------------------------------- paths
@@ -381,7 +341,7 @@ def chi_equals_b(p):
 
 def test_witness_kernel_raises_when_chi_equals_b(monkeypatch):
     monkeypatch.setattr(billiards, "qr_bits", chi_equals_b)
-    monkeypatch.setattr(checks, "qr_bits", chi_equals_b)
+    monkeypatch.setattr(oracles, "qr_bits", chi_equals_b)
     message = r"Legendre sequence equals the sign sequence for \(p=13, l=2\)"
     for run in (lambda: verify_nonmultiplicativity(13), lambda: verify_range(13, 60),
                 lambda: scalar_witnesses(13)):

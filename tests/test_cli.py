@@ -562,7 +562,7 @@ def test_survivor_text_has_the_bytes_of_str_in_csv_and_json(tmp_path):
     """The numpy decimal lines of sieve's CSV and JSON against str() of each exact survivor."""
     import numpy as np
 
-    from goebel.cli import _SurvivorRows, write_outcome_json, write_rows
+    from goebel.cli import write_outcome_json, write_rows
     from goebel.sieve import _BLOCK, SieveOutcome
 
     def check(k_lo, offsets):
@@ -570,7 +570,7 @@ def test_survivor_text_has_the_bytes_of_str_in_csv_and_json(tmp_path):
                                offsets=np.array(offsets, dtype=np.int32))
         survivors = [k_lo + i for i in offsets]
         out = tmp_path / "survivors"
-        write_rows(str(out), ["k"], _SurvivorRows(outcome), "csv")
+        write_rows(str(out), ["k"], outcome, "csv")
         assert out.read_bytes() == "".join(f"{k}\n" for k in ["k", *survivors]).encode(), k_lo
         write_outcome_json(str(out), outcome)
         record = {"k_lo": k_lo, "k_hi": outcome.k_hi, "bound": 19, "survivors": survivors}
@@ -597,18 +597,17 @@ def test_spot_check_samples_lazily_as_from_the_list_of_sieved_k():
     import random
     import tracemalloc
 
-    from goebel.cli import _nth_sieved
     from goebel.sieve import sieve_range
 
     for k_lo, k_hi in ((2, 3000), (1001, 4000)):
         outcome = sieve_range(k_lo, k_hi, 40, 2)
         alive = set(outcome.survivors)
         listed = [k for k in range(k_lo, k_hi + 1) if k not in alive]
-        assert [_nth_sieved(k_lo, outcome.offsets, i) for i in range(len(listed))] == listed
+        assert [outcome.nth_sieved(i) for i in range(len(listed))] == listed
         for seed in range(6):
             for n in (1, 5, 100):
                 lazy = [
-                    _nth_sieved(k_lo, outcome.offsets, i)
+                    outcome.nth_sieved(i)
                     for i in random.Random(seed).sample(range(len(listed)), n)
                 ]
                 assert lazy == random.Random(seed).sample(listed, n)
@@ -616,10 +615,8 @@ def test_spot_check_samples_lazily_as_from_the_list_of_sieved_k():
     outcome = sieve_range(2, 10 ** 6 + 1, 40, 2)
     tracemalloc.start()
     try:
-        size = 10 ** 6 - len(outcome.offsets)
-        sample = [
-            _nth_sieved(2, outcome.offsets, i) for i in random.Random(0).sample(range(size), 100)
-        ]
+        size = 10 ** 6 - len(outcome)
+        sample = [outcome.nth_sieved(i) for i in random.Random(0).sample(range(size), 100)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -769,6 +766,20 @@ def test_composite_grid_prime_is_rejected_without_sieving(capsys, monkeypatch):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_grid_prime_above_2_21_is_rejected_before_the_primality_test(capsys, monkeypatch):
+    import goebel.modarith
+
+    def no_primality_test(n):
+        raise AssertionError(f"tested {n} for primality")
+
+    monkeypatch.setattr(goebel.modarith, "is_prime", no_primality_test)
+    assert run_cli("grid", "--p", "1000000000000037") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the vectorized trace overflows int64")
+
+
 def test_sieve_k_range_above_the_bound_is_an_error(tmp_path, capsys, monkeypatch):
     import goebel.sieve
 
@@ -837,6 +848,16 @@ def test_billiards_dump(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "13,0:++++++++++++"
     assert len(lines) == 6
+
+
+def test_billiards_p_that_leaves_no_l_is_an_error(capsys):
+    # range(0, p - 2, 2) is empty for these p, so no l value checks them
+    for p in (2, 1, 0, -3):
+        assert run_cli("billiards", "--p", str(p)) == 1, p
+        captured = capsys.readouterr()
+        assert captured.out == "", p
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), p
 
 
 def test_verify_cli(tmp_path):

@@ -16,9 +16,8 @@ from goebel.errors import DomainError
 from goebel.modarith import qualifying_primes
 from goebel.reduced import JpSummary, classify_all, final_value, jp_ratio_table, jp_summaries
 
-from .checks import compute_jp_linear, reduced_trace
 from .goldens import JP_TABLE, TWO_IN_JP_BELOW_1E4
-from .oracles import naive_legendre
+from .oracles import compute_jp_linear, naive_legendre, reduced_trace
 
 
 def test_trace_from_zero_is_constant():

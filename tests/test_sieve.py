@@ -22,8 +22,7 @@ from goebel.sieve import (
     write_sieve_tables,
 )
 
-from .checks import class_exponent, strided_sieve
-from .oracles import plocal_trace
+from .oracles import class_exponent, plocal_trace, strided_sieve
 
 
 def test_prime_trace_examples():
@@ -94,8 +93,10 @@ def test_vector_trace_rejects_primes_that_overflow_int64():
     _prime_ctx.cache_clear()
     with pytest.raises(DomainError):
         _trace(2097169, 2, np.arange(3))
-    with pytest.raises(DomainError):
-        bad_residues(2097169, 2)
+    # a prime far above 2^21 is rejected before its primality test or any array
+    for p in (2097169, 10 ** 13 + 37):
+        with pytest.raises(DomainError):
+            bad_residues(p, 2)
     assert _prime_ctx.cache_info().currsize == 0
 
 
