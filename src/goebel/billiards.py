@@ -110,12 +110,9 @@ def construct_a(p: int, l: int) -> SignSequence:
     carries -1 when c = l+1 and +1 when c = p-l-1, every other wall the
     opposite.  The path introduces each index in {1..(p-1)/2} once; the free
     overall sign is fixed by a(1) = 1 and the upper half is filled by the
-    mirror condition a(n) = a(p - n).  l = 0 bypasses the billiard: the
-    sequence is identically +1.
+    mirror condition a(n) = a(p - n).
     """
     c = _check_pl(p, l)
-    if l == 0:
-        return SignSequence(values=(1,) * (p - 1), kind="a", l=0, p=p)
     path = billiard_path(p, l)
     wall_sign = -1 if c == l + 1 else 1
     m = (p - 1) // 2

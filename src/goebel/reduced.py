@@ -217,9 +217,9 @@ def _jp_sides(sides: list[tuple[int, int]], w: int) -> list[int | None]:
             out.append(int(starts[hit[0]]) if len(hit) else None)
         else:
             hit = np.flatnonzero(finals == p)
-            # l_R lies in the window once its lowest start is not absorbed at p
-            settled = finals[0] != p or starts[0] == 0
-            out.append(int(starts[hit[0]]) if settled and len(hit) else None)
+            # l_R lies in the window once its lowest start is not absorbed at
+            # p; that lane is never merged away, and from start 0 it ends at 0
+            out.append(int(starts[hit[0]]) if finals[0] != p and len(hit) else None)
     return out
 
 

@@ -281,16 +281,18 @@ def _read_offsets(alive: np.ndarray, n: int) -> np.ndarray:
     return offsets
 
 
-def sieve_range(k_lo: int, k_hi: int, p_max: int, l: int, tables=None) -> SieveOutcome:
+def sieve_range(k_lo: int, k_hi: int, p_max: int, l: int, tables: dict) -> SieveOutcome:
     """Cross off k in [k_lo, k_hi] whose class is bad for some odd prime <= p_max.
 
+    tables is read, not built: it needs the (p, l % p) table of every odd
+    prime p <= p_max, as sieve_tables gives, and a missing one is a KeyError.
     One packed bitmap over the range, one bit per k: each prime with a bad
     class ANDs in its periodic pattern of good classes with one numpy call.
     The survivors are read back a block at a time into one int32 array of
     offsets from k_lo, which check_range's cap on the range size lets fit.
     """
     check_range(k_lo, k_hi, p_max)
-    tables = sieve_tables(p_max, l, tables)
+    check_l(l)
     n = k_hi - k_lo + 1
     alive = np.full(-(-n // 8), 0xFF, dtype=np.uint8)
     primes = primes_in_range(3, p_max)
@@ -298,14 +300,12 @@ def sieve_range(k_lo: int, k_hi: int, p_max: int, l: int, tables=None) -> SieveO
         bad = tables[(p, l % p)].bad
         if bad:
             _and_good_classes(alive, k_lo, p - 1, bad)
-    return SieveOutcome(
-        k_lo=k_lo, k_hi=k_hi, bound=primes[-1] if primes else 0, offsets=_read_offsets(alive, n)
-    )
+    return SieveOutcome(k_lo=k_lo, k_hi=k_hi, bound=primes[-1], offsets=_read_offsets(alive, n))
 
 
-def smallest_sieving_prime(k: int, l: int, p_max: int, tables=None) -> int | None:
-    """Least odd prime <= p_max whose bad table covers k, or None."""
-    tables = sieve_tables(p_max, l, tables)
+def smallest_sieving_prime(k: int, l: int, p_max: int, tables: dict) -> int | None:
+    """Least odd prime <= p_max whose bad table covers k, or None; tables as for sieve_range."""
+    check_l(l)
     for p in primes_in_range(3, p_max):
         if k % (p - 1) in tables[(p, l % p)].bad:
             return p

@@ -535,7 +535,7 @@ def test_sieve_json_is_streamed_with_the_bytes_of_one_dump(tmp_path):
     import numpy as np
 
     from goebel.cli import write_outcome_json
-    from goebel.sieve import _BLOCK, SieveOutcome, sieve_range
+    from goebel.sieve import _BLOCK, SieveOutcome, sieve_range, sieve_tables
 
     def dump(outcome):
         record = {"k_lo": outcome.k_lo, "k_hi": outcome.k_hi, "bound": outcome.bound,
@@ -555,7 +555,7 @@ def test_sieve_json_is_streamed_with_the_bytes_of_one_dump(tmp_path):
         "sieve", "--k-lo", "2", "--k-hi", "400", "--p-max", "19", "--format", "json",
         "-o", str(out),
     ) == 0
-    assert out.read_bytes() == dump(sieve_range(2, 400, 19, 2))
+    assert out.read_bytes() == dump(sieve_range(2, 400, 19, 2, sieve_tables(19, 2)))
 
 
 def test_survivor_text_has_the_bytes_of_str_in_csv_and_json(tmp_path):
@@ -597,10 +597,11 @@ def test_spot_check_samples_lazily_as_from_the_list_of_sieved_k():
     import random
     import tracemalloc
 
-    from goebel.sieve import sieve_range
+    from goebel.sieve import sieve_range, sieve_tables
 
+    tables = sieve_tables(40, 2)
     for k_lo, k_hi in ((2, 3000), (1001, 4000)):
-        outcome = sieve_range(k_lo, k_hi, 40, 2)
+        outcome = sieve_range(k_lo, k_hi, 40, 2, tables)
         alive = set(outcome.survivors)
         listed = [k for k in range(k_lo, k_hi + 1) if k not in alive]
         assert [outcome.nth_sieved(i) for i in range(len(listed))] == listed
@@ -612,7 +613,7 @@ def test_spot_check_samples_lazily_as_from_the_list_of_sieved_k():
                 ]
                 assert lazy == random.Random(seed).sample(listed, n)
 
-    outcome = sieve_range(2, 10 ** 6 + 1, 40, 2)
+    outcome = sieve_range(2, 10 ** 6 + 1, 40, 2, tables)
     tracemalloc.start()
     try:
         size = 10 ** 6 - len(outcome)

@@ -150,7 +150,8 @@ def test_sieve_rejects_a_p_max_the_trace_cannot_take_before_any_table(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "-2" in err[0]
     assert not tables.exists()
-    for call in (lambda: sieve_tables(100, -1), lambda: smallest_sieving_prime(2, -1, 100)):
+    for call in (lambda: sieve_tables(100, -1),
+                 lambda: smallest_sieving_prime(2, -1, 100, {})):
         with pytest.raises(DomainError):
             call()
     # p_max = 2^21 is allowed: with every table given, none is built
@@ -168,15 +169,17 @@ def test_bad_residues_class_zero_uses_positive_exponent():
 
 
 def test_sieve_range_19_classes():
-    out = sieve_range(2, 1000, 19, 2)
+    tables = sieve_tables(19, 2)
+    out = sieve_range(2, 1000, 19, 2, tables)
     sieved = set(range(2, 1001)) - set(out.survivors)
     assert sieved == {k for k in range(2, 1001) if k % 18 in (6, 14)}
     assert out.bound == 19
     # survivors stay exact ints past int64
     for k_lo in (2 ** 63 - 50, 2 ** 64):
-        out = sieve_range(k_lo, k_lo + 100, 19, 2)
+        out = sieve_range(k_lo, k_lo + 100, 19, 2, tables)
         expected = [
-            k for k in range(k_lo, k_lo + 101) if smallest_sieving_prime(k, 2, 19) is None
+            k for k in range(k_lo, k_lo + 101)
+            if smallest_sieving_prime(k, 2, 19, tables) is None
         ]
         assert out.survivors == expected
         assert all(type(k) is int for k in out.survivors)
@@ -219,8 +222,9 @@ def test_survivors_are_read_back_in_blocks_as_the_strided_oracle_finds_them():
             assert all(type(k) is int for k in out.survivors)
             assert "".join(out.text_blocks("", "\n")) == "".join(f"{k}\n" for k in out.survivors)
     # every k survives: the pad bits after k_hi are not counted
+    ones = sieve_tables(19, 1)
     for n in (1, 9, _BLOCK + 1):
-        assert sieve_range(2 ** 64, 2 ** 64 + n - 1, 19, 1).survivors == [
+        assert sieve_range(2 ** 64, 2 ** 64 + n - 1, 19, 1, ones).survivors == [
             2 ** 64 + i for i in range(n)
         ]
 
@@ -244,20 +248,43 @@ def test_short_range_with_many_given_tables_matches_the_strided_oracle(monkeypat
     assert got.survivors and got.bound == 20011
 
 
+def test_sieve_lookups_read_the_given_tables_and_build_none(monkeypatch):
+    from goebel import sieve
+
+    tables = sieve_tables(100, 2)
+    survivors = strided_sieve(2, 10 ** 4, 100, 2, tables)
+    primes = [smallest_sieving_prime(k, 2, 100, tables) for k in range(2, 200)]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(sieve, "_trace", no_build)
+    monkeypatch.setattr(sieve, "sieve_tables", no_build)
+    assert sieve_range(2, 10 ** 4, 100, 2, tables).survivors == survivors
+    assert [smallest_sieving_prime(k, 2, 100, tables) for k in range(2, 200)] == primes
+    # a missing table is a KeyError naming its key, not a table built on the spot
+    del tables[(3, 2)]
+    for call in (lambda: sieve_range(2, 10 ** 4, 100, 2, tables),
+                 lambda: smallest_sieving_prime(5, 2, 100, tables)):
+        with pytest.raises(KeyError) as caught:
+            call()
+        assert caught.value.args == ((3, 2),)
+
+
 def test_sieve_range_small_prime_no_bad_classes():
     # nothing is non-integral at p = 3 with start 2, so everything survives
     assert bad_residues(3, 2).bad == ()
-    out = sieve_range(2, 100, 3, 2)
+    out = sieve_range(2, 100, 3, 2, sieve_tables(3, 2))
     assert out.survivors == list(range(2, 101))
 
 
 def test_sieve_range_validates():
     with pytest.raises(DomainError):
-        sieve_range(5, 4, 19, 2)
+        sieve_range(5, 4, 19, 2, {})
     with pytest.raises(DomainError):
-        sieve_range(2, 10, 2, 2)
+        sieve_range(2, 10, 2, 2, {})
     with pytest.raises(DomainError):
-        sieve_range(2, 10, 19, -1)
+        sieve_range(2, 10, 19, -1, {})
 
 
 def test_sieve_range_bound_is_checked_before_tables(monkeypatch):
@@ -269,12 +296,12 @@ def test_sieve_range_bound_is_checked_before_tables(monkeypatch):
     monkeypatch.setattr(goebel.sieve, "sieve_tables", no_tables)
     for k_lo, k_hi in ((2, 10 ** 8 + 2), (10 ** 12, 2 * 10 ** 12)):
         with pytest.raises(DomainError):
-            sieve_range(k_lo, k_hi, 3, 2)
+            sieve_range(k_lo, k_hi, 3, 2, {})
 
 
 def test_sieve_soundness_sampled():
-    out = sieve_range(2, 20000, 100, 2)
     tables = sieve_tables(100, 2)
+    out = sieve_range(2, 20000, 100, 2, tables)
     survivors = set(out.survivors)
     sieved = [k for k in range(2, 20001) if k not in survivors]
     rng = random.Random(0)
@@ -286,7 +313,7 @@ def test_sieve_soundness_sampled():
 
 
 def test_sieve_survivors_never_break_below_bound():
-    out = sieve_range(2, 200, 30, 2)
+    out = sieve_range(2, 200, 30, 2, sieve_tables(30, 2))
     for k in out.survivors[:40]:
         r = exact_N(k, 2, 29)
         assert r.exceeded, (k, r)
