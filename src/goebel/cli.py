@@ -427,6 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # goebel makes no BLAS calls: one OpenBLAS thread saves the CPU time of
+    # starting a pool of them when a subcommand first imports numpy
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

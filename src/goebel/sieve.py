@@ -2,10 +2,13 @@
 
 The non-integrality test at an odd prime p depends on k only through
 k mod (p-1), so one bad residue class eliminates a whole arithmetic
-progression of k values.  A table of bad classes comes from one vectorized
-trace over all exponent classes at once (discrete logs against a primitive
-root), and the (k, l) grid of a prime is the union of its tables.  The
-scalar prime_trace_mod_p is the reference the tests compare it against.
+progression of k values.  Every table comes from one numpy kernel,
+_lane_traces, that runs the trace of many lanes (p, u, a) in lockstep:
+all exponent classes a of every prime p and start value u in a batch,
+with powers from discrete logs against a primitive root.  Lanes that
+settle leave early, and most do.  The (k, l) grid of a prime is the
+union of its tables.  The scalar prime_trace_mod_p is the reference the
+tests compare the kernel against.
 
 Exponent-class convention: table entries are labeled by a in [0, p-2].
 For callers with actual k >= 1 the class a = 0 stands for k = p-1,
@@ -16,7 +19,7 @@ prime_trace_mod_p directly.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -69,36 +72,16 @@ def _prime_ctx(p: int):
 
 
 def _check_trace_prime(p: int) -> None:
-    """The primes _trace can take: (p-1)^3 must fit in int64, so p <= 2^21."""
+    """The primes _lane_traces can take: (p-1)^3 must fit in int64, so p <= 2^21."""
     if (p - 1) ** 3 > np.iinfo(np.int64).max:
         raise DomainError(f"the vectorized trace overflows int64 for primes above 2^21, got {p}")
-
-
-def _trace(p: int, U, E) -> np.ndarray:
-    """prime_trace_mod_p for start values U against exponents E, broadcast.
-
-    E holds exponents k >= 1 or their classes mod p-1 (class 0 is evaluated
-    as exponent p-1).  Powers come from the discrete-log tables and 1/(n+1)
-    from pow; the largest intermediate is (p-1)^3, which must fit in int64.
-    """
-    _check_trace_prime(p)
-    rpow, dlog = _prime_ctx(p)
-    E = np.asarray(E, dtype=np.int64) % (p - 1)
-    U = np.asarray(U, dtype=np.int64)
-
-    def power(U):
-        return np.where(U == 0, 0, rpow[dlog[U] * E % (p - 1)])
-
-    for n in range(1, p - 1):
-        U = (n * U + power(U)) * pow(n + 1, -1, p) % p
-    return ((p - 1) * U + power(U)) % p
 
 
 class BadResidueTable(NamedTuple):
     """Residue classes a with non-integrality at p for start value l.
 
     a is in [0, p-2]; class 0 is evaluated at exponent p-1 (k >= 1
-    semantics).  Empty for l = 0 and l = 1 mod p.
+    semantics), and is never bad.  Empty for l = 0 and l = 1 mod p.
     """
 
     p: int
@@ -109,9 +92,135 @@ class BadResidueTable(NamedTuple):
 def bad_residues(p: int, l: int) -> BadResidueTable:
     _check_trace_prime(p)
     check_odd_prime(p)
-    l_res = l % p
-    traces = _trace(p, l_res, np.arange(p - 1))
-    return BadResidueTable(p=p, l=l_res, bad=tuple(int(a) for a in np.nonzero(traces)[0]))
+    return _batch_tables([(p, l % p)])[0]
+
+
+# Lanes per batch of the lockstep trace.  A cold `sieve --p-max 700` peaks
+# at about 31.7 MB with 2^14 lanes, 35.6 MB with 2^16 and 30.7 MB with
+# 2^13, which built the tables about 8% slower.
+_LANES = 1 << 14
+# Steps between two retirements of the settled lanes: 16 and 32 measured
+# level, 64 slower, and retiring only at step 1 took 2.5 times as long.
+_RETIRE = 8
+
+
+def _lane_tables(primes):
+    """The tables of primes, concatenated, and the start of each prime's blocks.
+
+    Per prime p, 4p - 2 entries: dlog (p entries, dlog[0] = -1), p - 1
+    zeros, rpow, and inv with inv[x] = 1/x mod p for x >= 2.  For E in
+    [1, p-2], the log of 0^E that fmod leaves, -E, indexes the zeros
+    before rpow, so 0^E = 0 needs no separate test.
+    """
+    base = np.zeros(len(primes) + 1, dtype=np.int64)
+    np.cumsum([4 * p - 2 for p in primes], out=base[1:])
+    tab = np.zeros(int(base[-1]), dtype=np.int64)
+    for p, b in zip(primes, base.tolist()):
+        rpow, dlog = _prime_ctx(p)
+        tab[b : b + p] = dlog
+        tab[b] = -1
+        tab[b + 2 * p - 1 : b + 3 * p - 2] = rpow
+        # 1/r^j = r^(p-1-j) for j >= 1: rpow read backwards, down to rpow[1]
+        tab[b + 3 * p - 2 + rpow[1:]] = rpow[:0:-1]
+    return tab, base
+
+
+def _lane_traces(P, u, E) -> np.ndarray:
+    """prime_trace_mod_p of every lane (P[i], u[i], E[i]), all lanes in one lockstep.
+
+    P holds odd primes in ascending order (at least one), u start values
+    in [0, P-1] and E exponents or their classes mod P-1 (class 0 is
+    evaluated as exponent P-1).  Step n computes pw = u^E from the
+    discrete-log tables and s = n*u + pw, then u = s/(n+1) mod p; at
+    n = p-1 the lanes of p, a prefix, end with trace s mod p.  A lane with
+    pw = u at some step stays at u and ends at p*u = 0, so every _RETIRE
+    steps such lanes leave with trace 0.  The largest intermediate,
+    (p-1)^3, must fit in int64.
+    """
+    P = np.asarray(P, dtype=np.int64)
+    _check_trace_prime(int(P[-1]))
+    primes, counts = np.unique(P, return_counts=True)
+    primes = primes.tolist()
+    tab, base = _lane_tables(primes)
+    pm1 = P - 1
+    u = np.asarray(u, dtype=np.int64)
+    E = np.asarray(E, dtype=np.int64) % pm1
+    lane = np.arange(len(P))
+    out = np.zeros(len(P), dtype=np.int64)
+    dlog_at = np.repeat(base[:-1], counts)
+    rpow_at = dlog_at + 2 * P - 1
+    inv_at = dlog_at + 3 * P - 2
+    # The logs cannot give 0^(p-1) = 0, but class 0 ends at trace 0 from
+    # every start l: while u != 0, n*u = l + n - 1, so u stays 1 (l = 1)
+    # or reaches 0 by n = p - 1 and stays.  So it runs as class 1, where
+    # u^1 = u, and leaves at the first retirement.
+    E[E == 0] = 1
+    ends = set(primes)
+    for n in range(1, primes[-1]):
+        pw = tab[dlog_at + u]
+        pw *= E
+        np.fmod(pw, pm1, out=pw)
+        pw += rpow_at
+        pw = tab[pw]
+        if (n - 1) % _RETIRE == 0:
+            live = np.flatnonzero(pw != u)
+            if len(live) < len(u):
+                # one field at a time, so that at most one old array is held
+                u = u[live]
+                pw = pw[live]
+                E = E[live]
+                pm1 = pm1[live]
+                P = P[live]
+                lane = lane[live]
+                dlog_at = dlog_at[live]
+                rpow_at = rpow_at[live]
+                inv_at = inv_at[live]
+                if not len(u):
+                    break
+        s = u * n
+        s += pw
+        if n + 1 in ends:
+            done = int(np.searchsorted(P, n + 1, side="right"))
+            out[lane[:done]] = s[:done] % (n + 1)
+            s, E, pm1, P, lane = s[done:], E[done:], pm1[done:], P[done:], lane[done:]
+            dlog_at, rpow_at, inv_at = dlog_at[done:], rpow_at[done:], inv_at[done:]
+            if not len(s):
+                break
+        s *= tab[inv_at + (n + 1)]
+        u = s % P
+    return out
+
+
+def _batch_tables(jobs) -> list:
+    """The BadResidueTable of each (p, l_res) job, p ascending, from one _lane_traces."""
+    sizes = [p - 1 for p, _ in jobs]
+    traces = _lane_traces(
+        np.repeat([p for p, _ in jobs], sizes),
+        np.repeat([l for _, l in jobs], sizes),
+        np.concatenate([np.arange(n) for n in sizes]),
+    )
+    traces = np.split(traces, np.cumsum(sizes)[:-1])
+    return [
+        BadResidueTable(p=p, l=l, bad=tuple(np.flatnonzero(t).tolist()))
+        for (p, l), t in zip(jobs, traces)
+    ]
+
+
+def _bad_tables(jobs, workers: int) -> list:
+    """_batch_tables over jobs sorted by p, in batches of about _LANES lanes.
+
+    Jobs are dealt round-robin, so each batch keeps p ascending and gets a
+    like share of small and large primes; at least one batch per worker.
+    """
+    if not jobs:
+        return []
+    lanes = sum(p - 1 for p, _ in jobs)
+    count = min(len(jobs), max(workers, -(-lanes // _LANES)))
+    batches = [jobs[b::count] for b in range(count)]
+    out = [None] * len(jobs)
+    for b, tables in enumerate(pmap(_batch_tables, batches, workers)):
+        out[b::count] = tables
+    return out
 
 
 # Survivors per block, both when sieve_range reads them off its bitmap (in
@@ -213,8 +322,8 @@ def sieve_tables(p_max: int, l: int, tables=None, workers: int = 1) -> dict:
     check_l(l)
     _check_trace_prime(p_max)
     tables = dict(tables) if tables else {}
-    todo = [p for p in primes_in_range(3, p_max) if (p, l % p) not in tables]
-    for t in pmap(partial(bad_residues, l=l), todo, workers):
+    todo = [(p, l % p) for p in primes_in_range(3, p_max) if (p, l % p) not in tables]
+    for t in _bad_tables(todo, workers):
         tables[(t.p, t.l)] = t
     return tables
 
@@ -320,7 +429,7 @@ def grid_scan(p: int) -> list[tuple[int, int]]:
     """
     _check_trace_prime(p)
     check_odd_prime(p)
-    return sorted((a, l) for l in range(p) for a in bad_residues(p, l).bad)
+    return sorted((a, t.l) for t in _bad_tables([(p, l) for l in range(p)], 1) for a in t.bad)
 
 
 def format_table_line(table: BadResidueTable) -> str:

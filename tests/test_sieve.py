@@ -83,16 +83,42 @@ def test_bad_residues_backends_agree():
             assert bad_residues(p, l).bad == want, (p, l)
 
 
+def test_lockstep_traces_match_the_scalar_trace_lane_by_lane(monkeypatch):
+    # every class of every odd prime up to 61 at five start values, the
+    # lanes of a prime in shuffled order, in one lockstep: u = 0 and class
+    # 0 read their own tables, and retired lanes must end at trace 0
+    from goebel import sieve
+    from goebel.sieve import _bad_tables, _lane_traces
+
+    jobs = [(p, l % p) for p in primes_up_to(61)[1:] for l in (0, 1, 2, p - 1, p + 2)]
+    lanes = [(p, u, a) for p, u in jobs for a in range(p - 1)]
+    random.Random(0).shuffle(lanes)
+    lanes.sort(key=lambda lane: lane[0])
+    P, U, A = (np.array(column) for column in zip(*lanes))
+    want = [prime_trace_mod_p(class_exponent(a, p), u, p) for p, u, a in lanes]
+    assert _lane_traces(P, U, A).tolist() == want
+    tables = [
+        BadResidueTable(p=p, l=l, bad=tuple(
+            a for a in range(p - 1) if prime_trace_mod_p(class_exponent(a, p), l, p)
+        ))
+        for p, l in jobs
+    ]
+    monkeypatch.setattr(sieve, "_LANES", 1)  # one job per batch
+    assert _bad_tables(jobs, 1) == tables
+    monkeypatch.setattr(sieve, "_LANES", 10 ** 9)  # one batch for all
+    assert _bad_tables(jobs, 1) == tables
+    monkeypatch.undo()
+    assert sieve_tables(300, 2, workers=2) == sieve_tables(300, 2, workers=1)
+
+
 def test_vector_trace_rejects_primes_that_overflow_int64():
     # 2097169 is the first prime above 2^21, where (p-1)^3 no longer fits in
     # int64; the check must come before the O(p) discrete-log tables are built
-    import numpy as np
-
-    from goebel.sieve import _prime_ctx, _trace
+    from goebel.sieve import _lane_traces, _prime_ctx
 
     _prime_ctx.cache_clear()
     with pytest.raises(DomainError):
-        _trace(2097169, 2, np.arange(3))
+        _lane_traces(np.full(3, 2097169), np.full(3, 2), np.arange(3))
     # a prime far above 2^21 is rejected before its primality test or any array
     for p in (2097169, 10 ** 13 + 37):
         with pytest.raises(DomainError):
@@ -136,7 +162,7 @@ def test_sieve_rejects_a_p_max_the_trace_cannot_take_before_any_table(
     def no_trace(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(sieve, "_trace", no_trace)
+    monkeypatch.setattr(sieve, "_lane_traces", no_trace)
     assert main(["sieve", "--k-lo", "2", "--k-hi", "10", "--p-max", "2097169"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "2097169" in err[0]
@@ -237,7 +263,7 @@ def test_short_range_with_many_given_tables_matches_the_strided_oracle(monkeypat
     def no_trace(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(sieve, "_trace", no_trace)
+    monkeypatch.setattr(sieve, "_lane_traces", no_trace)
     rng = random.Random(0)
     tables = {}
     for p in primes_up_to(20011)[1:]:
@@ -258,7 +284,7 @@ def test_sieve_lookups_read_the_given_tables_and_build_none(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(sieve, "_trace", no_build)
+    monkeypatch.setattr(sieve, "_lane_traces", no_build)
     monkeypatch.setattr(sieve, "sieve_tables", no_build)
     assert sieve_range(2, 10 ** 4, 100, 2, tables).survivors == survivors
     assert [smallest_sieving_prime(k, 2, 100, tables) for k in range(2, 200)] == primes
@@ -338,15 +364,14 @@ def test_grid_scan_row_structure():
 
 def test_grid_half_exponent_row_matches_walk_classification():
     # the k = (p-1)/2 grid row equals the walk's Middle set, every odd p <= 500
-    import numpy as np
-
     from goebel import Classification, classify_l
-    from goebel.sieve import _trace
+    from goebel.sieve import _lane_traces
 
     for p in primes_up_to(500):
         if p < 3:
             continue
-        row = set(np.nonzero(_trace(p, np.arange(p), (p - 1) // 2))[0].tolist())
+        traces = _lane_traces(np.full(p, p), np.arange(p), np.full(p, (p - 1) // 2))
+        row = set(np.nonzero(traces)[0].tolist())
         middles = {l for l in range(p) if classify_l(p, l) is Classification.MIDDLE}
         assert row == middles, p
 
