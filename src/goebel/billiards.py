@@ -8,7 +8,9 @@ final theorem checked here: a is never completely multiplicative at 2,
 which is what forces the middle block J_p to be non-empty.  The
 middle-block conditions and the witness kernel read chi from
 `modarith.qr_bits`, so a worker builds each prime's table once across
-its witness batches.
+its witness batches.  `WitnessRows` hands the witness rows to the CLI
+one batch at a time, as CSV text or as tuples, so no list of them is
+ever built there.
 """
 
 import gc
@@ -198,9 +200,14 @@ def empty_iff_conditions(p: int, l: int) -> tuple[bool, bool]:
 # level up to 2048 rows and 0.8 MB higher at 4096; verify_range(13, 10**4)
 # took 6.6 / 5.2 / 4.7 / 4.6 s.
 WITNESS_BATCH_ROWS = 2048
+# Rows per pmap call over the batches: the results of one such window, 8
+# bytes per row, are the most the row source holds at once.
+WITNESS_WINDOW_ROWS = 1 << 20
 # Columns of the first block that each search tests per row; a row that the
 # block does not settle tests a block twice as wide next.
 _FIRST_COLUMNS = 8
+# 10^1, ..., 10^18: a value v >= 0 has 1 + (how many of them are <= v) decimal digits
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def _inverses(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -238,6 +245,14 @@ def _first_hits(test, lo: int, hi: np.ndarray) -> np.ndarray:
     return first
 
 
+def _job_rows(jobs: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 columns p and l of the rows (p, l), l = lo, lo+2, ..., hi, of each job (p, lo, hi)."""
+    counts = [(hi - lo) // 2 + 1 for _, lo, hi in jobs]
+    P = np.repeat(np.array([p for p, _, _ in jobs], dtype=np.int64), counts)
+    L = np.concatenate([np.arange(lo, hi + 1, 2, dtype=np.int64) for _, lo, hi in jobs])
+    return P, L
+
+
 def _witness_batch(jobs: list[tuple[int, int, int]]) -> np.ndarray:
     """The least witness m of every row (p, l), l = lo, lo+2, ..., hi, of each job (p, lo, hi).
 
@@ -252,8 +267,8 @@ def _witness_batch(jobs: list[tuple[int, int, int]]) -> np.ndarray:
     """
     ps = [p for p, _, _ in jobs]
     counts = [(hi - lo) // 2 + 1 for _, lo, hi in jobs]
-    P = np.repeat(np.array(ps, dtype=np.int64), counts)
-    L1 = np.concatenate([np.arange(lo + 1, hi + 2, 2, dtype=np.int64) for _, lo, hi in jobs])
+    P, L = _job_rows(jobs)
+    L1 = L + 1
     inv = _inverses(P % L1, L1)
     j0 = -inv % L1
     # bits of every job's prime in one table; a row reads chi(n) at off + n
@@ -308,22 +323,102 @@ def _row_batches(primes: list[int]) -> list[list[tuple[int, int, int]]]:
     return batches
 
 
-def _witnesses(primes: list[int], workers: int) -> list[Witness]:
+def _witness_columns(primes: list[int], workers: int):
+    """(P, L, M) int64 arrays of the rows (p, l, m) of the primes, in order, one triple per batch.
+
+    The batches go to pmap a window of about WITNESS_WINDOW_ROWS rows at a
+    time, so one window of results is the most that is held at once.
+    Raises NoWitness as _witness_batch does, after every triple of the
+    windows before the failing one has been yielded.
+    """
     batches = _row_batches(primes)
+    step = max(1, WITNESS_WINDOW_ROWS // WITNESS_BATCH_ROWS)
+    for start in range(0, len(batches), step):
+        window = batches[start : start + step]
+        for batch, m in zip(window, pmap(_witness_batch, window, workers)):
+            yield *_job_rows(batch), m
+
+
+def _csv_lines(columns: list[np.ndarray], prefix: str, suffix: str) -> str:
+    """prefix + the row's values joined by "," + suffix, for each row of the columns, as one str.
+
+    The columns hold non-negative int64 values.  Each value's digit count,
+    from searchsorted on the powers of 10, places every line in one uint8
+    buffer; a column's digits are then scattered into it from the last
+    one, a position at a time, for the rows that still have digits.
+    """
+    head, tail = prefix.encode("ascii"), suffix.encode("ascii")
+    digits = [np.searchsorted(_POW10, values, side="right") + 1 for values in columns]
+    widths = sum(digits) + (len(head) + len(columns) - 1 + len(tail))
+    text = np.empty(widths.sum(), dtype=np.uint8)
+    at = np.cumsum(widths) - widths
+    for i, byte in enumerate(head):
+        text[at + i] = byte
+    at += len(head)
+    for c, (values, count) in enumerate(zip(columns, digits)):
+        if c:
+            text[at] = ord(",")
+            at += 1
+        at += count
+        pos, rest = at - 1, values
+        while True:
+            text[pos] = rest % 10 + ord("0")
+            rest = rest // 10
+            live = np.flatnonzero(rest)
+            if not len(live):
+                break
+            pos, rest = pos[live] - 1, rest[live]
+    for i, byte in enumerate(tail):
+        text[at + i] = byte
+    return text.tobytes().decode("ascii")
+
+
+class WitnessRows:
+    """The witness rows (p, l, m) of the qualifying primes in [p_min, p_max], made as they are read.
+
+    The same protocol as sieve.SieveOutcome: len is the row count, the sum
+    of (p - 3) / 2 over the primes, known before any row is made;
+    text_blocks gives CSV text and iteration gives (p, l, m) tuples, one
+    kernel batch at a time.  Reading them raises NoWitness at the first
+    failing batch, after the rows of the windows before it.
+    """
+
+    def __init__(self, p_min: int, p_max: int, workers: int = 1):
+        # a prime bound out of range raises here, before any output is opened
+        self.primes = qualifying_primes(p_min, p_max)
+        self.workers = workers
+
+    def __len__(self) -> int:
+        return sum((p - 3) // 2 for p in self.primes)
+
+    def __iter__(self):
+        for P, L, M in _witness_columns(self.primes, self.workers):
+            yield from zip(P.tolist(), L.tolist(), M.tolist())
+
+    def text_blocks(self, prefix: str, suffix: str):
+        """prefix + "p,l,m" + suffix for each row, joined into one str per batch."""
+        for columns in _witness_columns(self.primes, self.workers):
+            yield _csv_lines(columns, prefix, suffix)
+
+
+def _witnesses(primes: list[int], workers: int) -> list[Witness]:
     # the rows share one int object per p and one per even l, which keeps them small
     evens = list(range(0, primes[-1] - 2, 2)) if primes else []
     out = []
+    p = None
     # the rows hold no cycles, and the collector would scan them again and
     # again as they are made: it is paused, and left as it was found
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for batch, ms in zip(batches, pmap(_witness_batch, batches, workers)):
-            a = 0
-            for p, lo, hi in batch:
-                b = a + (hi - lo) // 2 + 1
-                out.extend(map(Witness, repeat(p), evens[lo // 2 : hi // 2 + 1], ms[a:b].tolist()))
-                a = b
+        for P, L, M in _witness_columns(primes, workers):
+            # a batch holds runs of rows of one prime each, l ascending by 2
+            cuts = [0, *(np.flatnonzero(P[1:] != P[:-1]) + 1).tolist(), len(P)]
+            for a, b in zip(cuts, cuts[1:]):
+                if P[a] != p:
+                    p = int(P[a])
+                ls = evens[L[a] // 2 : L[b - 1] // 2 + 1]
+                out.extend(map(Witness, repeat(p), ls, M[a:b].tolist()))
     finally:
         if enabled:
             gc.enable()

@@ -98,7 +98,8 @@ def write_rows(path, header, rows, fmt: str) -> None:
 
     JSON is written one record at a time, with the bytes of
     json.dumps(records, indent=2) + "\\n" for the list of records.  Rows
-    with text_blocks, as a SieveOutcome has, hand over CSV lines as text.
+    with text_blocks, as a SieveOutcome and billiards.WitnessRows have,
+    hand over CSV lines as text.
     """
     with _output(path) as fh:
         if fmt == "csv":
@@ -344,8 +345,10 @@ def cmd_billiards(args) -> int:
 def cmd_verify(args) -> int:
     from . import billiards
 
-    witnesses = billiards.verify_range(args.p_min, args.p_max, workers=args.threads)
-    write_rows(args.output, ["p", "l", "m"], witnesses, args.format)
+    # the rows are made a batch at a time as they are written; a NoWitness
+    # from a later batch leaves the rows already written in place
+    rows = billiards.WitnessRows(args.p_min, args.p_max, workers=args.threads)
+    write_rows(args.output, ["p", "l", "m"], rows, args.format)
     return 0
 
 

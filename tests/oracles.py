@@ -1,13 +1,14 @@
 """Reference computations and lemma checks that only the tests use.
 
 Two sections.  The naive oracles share no code with the library: exact
-fractions, repeated multiplication, set enumeration, and brute-force
-enumeration of the billiard sign conditions.  The lemma checks and
-references are built on library pieces: the full reduced walk with its
-zigzag test, the linear-scan J_p oracle, the billiard wall sign psi, the
-b-sequence symmetry identities, the a = b consistency check, the scalar
-witness search with its O(1) b evaluator, the exponent representative of
-a residue class, and the strided-slice sieve marker.  They check the
+fractions, repeated multiplication, mod-p traces walked over tables of
+inverses and powers, set enumeration, and brute-force enumeration of the
+billiard sign conditions.  The lemma checks and references are built on
+library pieces: the full reduced walk with its zigzag test, the
+linear-scan J_p oracle, the billiard wall sign psi, the b-sequence
+symmetry identities, the a = b consistency check, the scalar witness
+search with its O(1) b evaluator, the exponent representative of a
+residue class, and the strided-slice sieve marker.  They check the
 library against the paper's lemmas; the library itself never calls them.
 """
 
@@ -88,6 +89,24 @@ def plocal_trace(k: int, l: int, p: int) -> int:
         if n + 1 < p:  # at n = p-1 the division by p is what p*g(p) leaves out
             den = den * (n + 1) % p
     return num * naive_power_mod(den, p - 2, p) % p
+
+
+def traces_mod_p(k_res: int, p: int) -> list[int]:
+    """The residue of p*g(p) mod p for every start l in [0, p-1], exponent k_res used literally.
+
+    The recurrence of prime_trace_mod_p, walked from tables made once per
+    prime: the inverse of every n in [1, p-1] and the k_res-th power of
+    every residue, each by one pow.  Each start then takes its p-2 steps by
+    list lookups alone.
+    """
+    inverse = [0] + [pow(n, -1, p) for n in range(1, p)]
+    power = [pow(u, k_res, p) for u in range(p)]
+    traces = []
+    for u in range(p):
+        for n in range(1, p - 1):
+            u = (n * u + power[u]) * inverse[n + 1] % p
+        traces.append(((p - 1) * u + power[u]) % p)
+    return traces
 
 
 def naive_power_mod(x: int, y: int, m: int) -> int:

@@ -21,7 +21,6 @@ from goebel import (
     grid_scan,
     billiard_path,
     jp_summaries,
-    prime_trace_mod_p,
     primes_in_range,
     scan_two_in_jp,
     sieve_range,
@@ -47,6 +46,7 @@ from .oracles import (
     goebel_terms,
     plocal_trace,
     rational_trace_at_p,
+    traces_mod_p,
 )
 
 WORKERS = os.cpu_count() or 1
@@ -138,9 +138,10 @@ def test_criterion_07_cross_oracle_equivalence():
     # walk classification vs single-prime congruence runs, all p <= 500
     ok_trace = True
     for p in primes_in_range(3, 500):
+        traces = traces_mod_p((p - 1) // 2, p)
         for l in range(p):
             middle = classify_l(p, l) is Classification.MIDDLE
-            if middle != (prime_trace_mod_p((p - 1) // 2, l, p) != 0):
+            if middle != (traces[l] != 0):
                 ok_trace = False
     # exact arithmetic in the localization at p (literal half exponent,
     # reimplemented in the test suite) for p <= 31

@@ -402,3 +402,32 @@ def test_witness_rows_are_built_with_the_collector_paused(monkeypatch):
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
+
+
+# ------------------------------------------------------------- witness text
+
+def test_csv_lines_write_each_value_as_str_does():
+    import numpy as np
+
+    edges = [0, 1, 9, 10, 11, 99, 100, 12345, 10 ** 9 - 1, 10 ** 9, 10 ** 18 - 1, 10 ** 18,
+             2 ** 63 - 1]
+    a = np.array(edges, dtype=np.int64)
+    b = a[::-1].copy()
+    c = np.arange(len(a), dtype=np.int64)
+    for prefix, suffix in (("", "\n"), (",\n    ", ""), ("[", "]\n")):
+        want = "".join(
+            f"{prefix}{x},{y},{z}{suffix}" for x, y, z in zip(edges, edges[::-1], range(len(a))))
+        assert billiards._csv_lines([a, b, c], prefix, suffix) == want, (prefix, suffix)
+    assert billiards._csv_lines([a], "", "\n") == "".join(f"{x}\n" for x in edges)
+    empty = np.zeros(0, dtype=np.int64)
+    assert billiards._csv_lines([empty, empty], "", "\n") == ""
+
+
+def test_witness_rows_give_the_rows_of_verify_range_as_tuples_and_text(monkeypatch):
+    monkeypatch.setattr(billiards, "WITNESS_BATCH_ROWS", 7)
+    monkeypatch.setattr(billiards, "WITNESS_WINDOW_ROWS", 20)
+    for lo, hi in ((13, 200), (100, 113), (14, 16)):
+        want = verify_range(lo, hi)
+        rows = billiards.WitnessRows(lo, hi)
+        assert len(rows) == len(want) and list(rows) == [tuple(w) for w in want], (lo, hi)
+        assert "".join(rows.text_blocks("", "\n")) == "".join(f"{p},{l},{m}\n" for p, l, m in want)

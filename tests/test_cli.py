@@ -14,6 +14,36 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def command_peak_kb(*argv) -> int:
+    """The peak resident memory (VmHWM, in kB) of goebel.cli.main(argv) run in a fresh process.
+
+    The child reads its own /proc/self/status as the command returns.  Its
+    ru_maxrss would not do: Linux carries the high-water RSS of the process
+    that forks over to the child, so it could not read below this one's.
+    """
+    import subprocess
+    from pathlib import Path
+
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    script = (
+        "import sys\n"
+        "from goebel.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    peak = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+        "print(rc, peak, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, peak_kb = map(int, proc.stderr.splitlines()[-1].split())
+    assert rc == 0, proc.stderr
+    return peak_kb
+
+
 def test_parse_krange():
     assert list(parse_krange("142")) == [142]
     assert list(parse_krange("2..5")) == [2, 3, 4, 5]
@@ -361,20 +391,16 @@ def test_stats_mean_mod_writes_the_row_of_every_class(tmp_path):
 
 
 def test_stats_mean_mod_holds_the_classes_of_the_data_not_every_class(tmp_path):
-    # lists of d sums, counts and rows took a one-row dataset at d = 3 * 10^6 to a 373 MB peak
-    import tracemalloc
-
+    # lists of d sums, counts and rows took a one-row dataset at d = 10^6 to a
+    # 133 MB peak, 117 MB above a run at d = 1; with sums for the classes of
+    # the data alone the command peaks where a one-class run does
     data = tmp_path / "d.csv"
     _write_dataset(data, [(4, 97)])
     out = tmp_path / "means.csv"
+    one_class_kb = command_peak_kb("stats", "--dataset", str(data), "--mean-mod", "1", "-o", str(out))
     d = 10 ** 6
-    tracemalloc.start()
-    try:
-        assert run_cli("stats", "--dataset", str(data), "--mean-mod", str(d), "-o", str(out)) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    peak_kb = command_peak_kb("stats", "--dataset", str(data), "--mean-mod", str(d), "-o", str(out))
+    assert peak_kb < one_class_kb + 4 * 1024
     with open(out, encoding="ascii") as fh:
         assert next(fh) == "class,count,mean\n"
         for a, line in enumerate(fh):
@@ -859,6 +885,93 @@ def test_billiards_p_that_leaves_no_l_is_an_error(capsys):
         assert captured.out == "", p
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), p
+
+
+def _witness_bytes(rows, fmt: str) -> bytes:
+    """The bytes csv.writer or json.dumps(indent=2) makes of the rows (p, l, m)."""
+    import csv
+
+    if fmt == "json":
+        records = [{"p": p, "l": l, "m": m} for p, l, m in rows]
+        return (json.dumps(records, indent=2) + "\n").encode("ascii")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("p", "l", "m"), *rows])
+    return buf.getvalue().encode("ascii")
+
+
+def test_verify_output_has_the_bytes_of_the_witness_list(tmp_path, monkeypatch):
+    from goebel import billiards, verify_range
+    from goebel.modarith import qualifying_primes
+
+    cases = [((), verify_range(13, 300)), (("--p-min", "150"), verify_range(150, 300))]
+    sizes = [(billiards.WITNESS_BATCH_ROWS, billiards.WITNESS_WINDOW_ROWS), (40, 120)]
+    # batches of 40 rows, and windows of 3 such batches, cut through primes at both boundaries
+    monkeypatch.setattr(billiards, "WITNESS_BATCH_ROWS", 40)
+    batches = billiards._row_batches(qualifying_primes(13, 300))
+    assert batches[0][-1][0] == batches[1][0][0] and batches[2][-1][0] == batches[3][0][0]
+    for batch, window in sizes:
+        monkeypatch.setattr(billiards, "WITNESS_BATCH_ROWS", batch)
+        monkeypatch.setattr(billiards, "WITNESS_WINDOW_ROWS", window)
+        for extra, rows in cases:
+            for threads in ("1", "2"):
+                for fmt in ("csv", "json"):
+                    out = tmp_path / f"w.{fmt}"
+                    assert run_cli("verify", "--p-max", "300", *extra, "--threads", threads,
+                                   "--format", fmt, "-o", str(out)) == 0
+                    assert out.read_bytes() == _witness_bytes(rows, fmt), (batch, extra, threads, fmt)
+    assert len(billiards.WitnessRows(13, 300)) == len(cases[0][1])
+
+
+# the witness kernel, while a test stands in for it; the stand-in below is
+# pickled to the workers by name, and reads the kernel from here
+_kernel = None
+
+
+def _fails_on(jobs_that_fail, jobs):
+    from goebel.errors import NoWitness
+
+    if jobs == jobs_that_fail:
+        raise NoWitness(f"no multiplicativity witness for (p={jobs[0][0]}, l={jobs[0][1]})")
+    return _kernel(jobs)
+
+
+def test_verify_failure_after_rows_are_out_is_one_error_line(tmp_path, monkeypatch, capsys):
+    from functools import partial
+
+    from goebel import billiards, verify_range
+    from goebel.modarith import qualifying_primes
+
+    monkeypatch.setattr(sys.modules[__name__], "_kernel", billiards._witness_batch)
+    monkeypatch.setattr(billiards, "WITNESS_BATCH_ROWS", 40)
+    batches = billiards._row_batches(qualifying_primes(13, 300))
+    rows = verify_range(13, 300)
+    monkeypatch.setattr(billiards, "_witness_batch", partial(_fails_on, batches[1]))
+    want_err = f"error: no multiplicativity witness for (p={batches[1][0][0]}, l={batches[1][0][1]})\n"
+    # with one batch per window the first batch's rows are out before the
+    # second fails; with two, the first window fails whole, and at two
+    # threads it fails in a worker process
+    for window, written in ((40, rows[:40]), (80, [])):
+        monkeypatch.setattr(billiards, "WITNESS_WINDOW_ROWS", window)
+        for threads in ("1", "2"):
+            argv = ("verify", "--p-max", "300", "--threads", threads)
+            assert run_cli(*argv) == 1, (window, threads)
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (_witness_bytes(written, "csv").decode(), want_err)
+            out = tmp_path / "w.csv"
+            assert run_cli(*argv, "-o", str(out)) == 1, (window, threads)
+            assert capsys.readouterr() == ("", want_err)
+            assert out.read_bytes() == _witness_bytes(written, "csv")
+
+
+def test_verify_streams_its_rows_in_flat_memory(tmp_path):
+    # a Witness tuple per row and a list of them took this command to a 65 MB peak
+    from goebel.modarith import qualifying_primes
+
+    out = tmp_path / "w.csv"
+    assert command_peak_kb("verify", "--p-max", "5000", "-o", str(out)) < 45 * 1024
+    with open(out, encoding="ascii") as fh:
+        assert next(fh) == "p,l,m\n"
+        assert sum(1 for _ in fh) == sum((p - 3) // 2 for p in qualifying_primes(13, 5000))
 
 
 def test_verify_cli(tmp_path):

@@ -22,7 +22,7 @@ from goebel.sieve import (
     write_sieve_tables,
 )
 
-from .oracles import class_exponent, plocal_trace, strided_sieve
+from .oracles import class_exponent, plocal_trace, strided_sieve, traces_mod_p
 
 
 def test_prime_trace_examples():
@@ -45,6 +45,14 @@ def test_prime_trace_against_local_arithmetic_oracle():
         for k in range(1, p):
             for l in range(0, p, 3):
                 assert prime_trace_mod_p(k, l, p) == plocal_trace(k, l, p), (k, l, p)
+
+
+def test_table_driven_traces_equal_the_scalar_trace_for_every_start():
+    primes = primes_up_to(200)[1:41]
+    assert len(primes) == 40 and primes[-1] == 179
+    for p in primes:
+        for k in ((p - 1) // 2, 2, p - 1):
+            assert traces_mod_p(k, p) == [prime_trace_mod_p(k, l, p) for l in range(p)], (k, p)
 
 
 def test_class_exponent_convention():
