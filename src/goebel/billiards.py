@@ -9,8 +9,8 @@ which is what forces the middle block J_p to be non-empty.  The
 middle-block conditions and the witness kernel read chi from
 `modarith.qr_bits`, so a worker builds each prime's table once across
 its witness batches.  `WitnessRows` hands the witness rows to the CLI
-one batch at a time, as CSV text or as tuples, so no list of them is
-ever built there.
+one batch at a time, as text in the CLI's record format, so no list of
+them is ever built there.
 """
 
 import gc
@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InconsistentConstraints, NoWitness
+from .fileio import int_lines
 from .modarith import check_qualifying_prime, is_prime, qr_bits, qualifying_primes
 from .parallel import pmap
 
@@ -206,8 +207,6 @@ WITNESS_WINDOW_ROWS = 1 << 20
 # Columns of the first block that each search tests per row; a row that the
 # block does not settle tests a block twice as wide next.
 _FIRST_COLUMNS = 8
-# 10^1, ..., 10^18: a value v >= 0 has 1 + (how many of them are <= v) decimal digits
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def _inverses(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -339,48 +338,14 @@ def _witness_columns(primes: list[int], workers: int):
             yield *_job_rows(batch), m
 
 
-def _csv_lines(columns: list[np.ndarray], prefix: str, suffix: str) -> str:
-    """prefix + the row's values joined by "," + suffix, for each row of the columns, as one str.
-
-    The columns hold non-negative int64 values.  Each value's digit count,
-    from searchsorted on the powers of 10, places every line in one uint8
-    buffer; a column's digits are then scattered into it from the last
-    one, a position at a time, for the rows that still have digits.
-    """
-    head, tail = prefix.encode("ascii"), suffix.encode("ascii")
-    digits = [np.searchsorted(_POW10, values, side="right") + 1 for values in columns]
-    widths = sum(digits) + (len(head) + len(columns) - 1 + len(tail))
-    text = np.empty(widths.sum(), dtype=np.uint8)
-    at = np.cumsum(widths) - widths
-    for i, byte in enumerate(head):
-        text[at + i] = byte
-    at += len(head)
-    for c, (values, count) in enumerate(zip(columns, digits)):
-        if c:
-            text[at] = ord(",")
-            at += 1
-        at += count
-        pos, rest = at - 1, values
-        while True:
-            text[pos] = rest % 10 + ord("0")
-            rest = rest // 10
-            live = np.flatnonzero(rest)
-            if not len(live):
-                break
-            pos, rest = pos[live] - 1, rest[live]
-    for i, byte in enumerate(tail):
-        text[at + i] = byte
-    return text.tobytes().decode("ascii")
-
-
 class WitnessRows:
     """The witness rows (p, l, m) of the qualifying primes in [p_min, p_max], made as they are read.
 
     The same protocol as sieve.SieveOutcome: len is the row count, the sum
-    of (p - 3) / 2 over the primes, known before any row is made;
-    text_blocks gives CSV text and iteration gives (p, l, m) tuples, one
-    kernel batch at a time.  Reading them raises NoWitness at the first
-    failing batch, after the rows of the windows before it.
+    of (p - 3) / 2 over the primes, known before any row is made, and
+    text_blocks gives the rows as text, one kernel batch at a time.
+    Reading them raises NoWitness at the first failing batch, after the
+    rows of the windows before it.
     """
 
     def __init__(self, p_min: int, p_max: int, workers: int = 1):
@@ -391,14 +356,10 @@ class WitnessRows:
     def __len__(self) -> int:
         return sum((p - 3) // 2 for p in self.primes)
 
-    def __iter__(self):
-        for P, L, M in _witness_columns(self.primes, self.workers):
-            yield from zip(P.tolist(), L.tolist(), M.tolist())
-
-    def text_blocks(self, prefix: str, suffix: str):
-        """prefix + "p,l,m" + suffix for each row, joined into one str per batch."""
+    def text_blocks(self, *pieces: str):
+        """int_lines of each batch's (p, l, m) columns with the four pieces, one str per batch."""
         for columns in _witness_columns(self.primes, self.workers):
-            yield _csv_lines(columns, prefix, suffix)
+            yield int_lines(columns, pieces)
 
 
 def _witnesses(primes: list[int], workers: int) -> list[Witness]:

@@ -1,4 +1,8 @@
-"""The line files the package keeps between runs: one reader, one whole-file writer."""
+"""The line files the package keeps between runs, and the text of the large outputs.
+
+One reader and one whole-file writer for the files; int_lines writes the
+rows of integer columns that sieve and verify stream out.
+"""
 
 import os
 
@@ -50,3 +54,39 @@ def replace_lines(path, lines) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def int_lines(columns, pieces, width: int = 1) -> str:
+    """pieces[0] + str(col0[i]) + pieces[1] + ... + pieces[-1] for each row i, as one str.
+
+    columns are int64 arrays of one length with values >= 0, and pieces
+    are one more NUL-free ASCII str than there are columns; each value is
+    written with at least width digits, zero-padded.  The lines are the
+    rows of one uint8 matrix, as wide as the pieces plus each column's
+    largest digit count: the pieces are constant columns, each digit
+    position is one division by 10 over the column, and the leading
+    positions a value does not reach hold byte 0, which is dropped from
+    the text at the end.
+    """
+    import numpy as np
+
+    if not len(columns[0]):
+        return ""
+    digits = [max(width, len(str(int(values.max())))) for values in columns]
+    lines = np.empty((len(columns[0]), sum(map(len, pieces)) + sum(digits)), dtype=np.uint8)
+    at = 0
+    for piece, values, count in zip(pieces, [*columns, None], [*digits, 0]):
+        lines[:, at : at + len(piece)] = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
+        at += len(piece) + count
+        for pos in range(count):
+            rest = values // 10
+            digit = rest * -10
+            digit += values
+            digit += ord("0")
+            if pos >= width:
+                digit *= values != 0  # the value has no digit left here
+            lines[:, at - 1 - pos] = digit
+            values = rest
+    # bytes.replace drops the 0 bytes several times faster than numpy's
+    # lines[lines != 0], and returns the text itself when there are none
+    return lines.tobytes().replace(b"\0", b"").decode("ascii")

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .fileio import read_keyed, replace_lines
+from .fileio import int_lines, read_keyed, replace_lines
 from .modarith import SIEVE_MAX, check_odd_prime, factorize, primes_in_range
 from .parallel import pmap
 
@@ -224,28 +224,9 @@ def _bad_tables(jobs, workers: int) -> list:
 
 
 # Survivors per block, both when sieve_range reads them off its bitmap (in
-# bits) and when text_blocks writes them out as decimal lines: at most
+# bits) and when text_blocks writes them out through int_lines: at most
 # 16 KB of unpacked bytes and 128 KB of indices, or about 0.5 MB of text.
 _BLOCK = 1 << 14
-# text_blocks splits k_lo as q * 10^10 + r.  r plus an offset, which is below
-# SIEVE_MAX, stays under 2 * 10^10 in int64: numpy writes each line's low 10
-# digits from it, and str the high ones, q or q + 1.
-_LOW_DIGITS = 10
-_LOW = 10 ** _LOW_DIGITS
-# 10^1, ..., 10^10: a value v below _LOW has 1 + (how many of them are <= v) digits
-_POW10 = 10 ** np.arange(1, _LOW_DIGITS + 1, dtype=np.int64)
-
-
-def _decimal_lines(values: np.ndarray, lead: str, digits: int, tail: str) -> bytes:
-    """lead + the last `digits` decimal digits of each value, zero-padded, + tail, as ASCII."""
-    lines = np.empty((len(values), len(lead) + digits + len(tail)), dtype=np.uint8)
-    lines[:, : len(lead)] = np.frombuffer(lead.encode("ascii"), dtype=np.uint8)
-    lines[:, len(lead) + digits :] = np.frombuffer(tail.encode("ascii"), dtype=np.uint8)
-    for col in range(len(lead) + digits - 1, len(lead) - 1, -1):
-        values, digit = np.divmod(values, 10)
-        lines[:, col] = digit
-    lines[:, len(lead) : len(lead) + digits] += ord("0")
-    return lines.tobytes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,33 +263,23 @@ class SieveOutcome:
     def text_blocks(self, prefix: str, suffix: str):
         """prefix + str(k) + suffix for each survivor k, joined into one str per _BLOCK survivors.
 
-        With q, r = divmod(k_lo, 10^10), each k is q * 10^10 + (r + offset),
-        and r + offset < 2 * 10^10 fits int64.  Where it reaches 10^10 the
-        high digits are str(q + 1).  Survivors ascend, so a block splits into
-        at most two such parts, and for q = 0 the part below 10^10 into runs
-        of one digit count; each run is one uint8 matrix of lines.
+        With q, r = divmod(k_lo, 10^10), each k is q * 10^10 + (r + offset);
+        an offset is an int32, below 2^31 < 10^10, so r + offset fits int64
+        and reaches 10^10 at most once.  For q = 0 it is k, one int_lines
+        call per block.  Otherwise the high digits are part of the prefix,
+        str(q), or str(q + 1) from the survivor at which r + offset reaches
+        10^10 on, and the low ones are 10 wide.
         """
-        q, r = divmod(self.k_lo, _LOW)
-        high = str(q) if q else ""
-        carried = prefix + str(q + 1)
+        q, r = divmod(self.k_lo, 10 ** 10)
         for start in range(0, len(self.offsets), _BLOCK):
             values = self.offsets[start : start + _BLOCK].astype(np.int64)
             values += r
-            carry = int(np.searchsorted(values, _LOW))
-            low = values[:carry]
-            if high:
-                runs = [_decimal_lines(low, prefix + high, _LOW_DIGITS, suffix)]
-            else:
-                # ends[d - 1] is the end of the run of d-digit values
-                ends = np.searchsorted(low, _POW10).tolist()
-                runs = [
-                    _decimal_lines(low[begin:end], prefix, digits, suffix)
-                    for digits, (begin, end) in enumerate(zip([0] + ends, ends), start=1)
-                    if begin < end
-                ]
-            if carry < len(values):
-                runs.append(_decimal_lines(values[carry:] - _LOW, carried, _LOW_DIGITS, suffix))
-            yield b"".join(runs).decode("ascii")
+            if not q:
+                yield int_lines([values], [prefix, suffix])
+                continue
+            carry = int(np.searchsorted(values, 10 ** 10))
+            yield (int_lines([values[:carry]], [prefix + str(q), suffix], 10)
+                   + int_lines([values[carry:] - 10 ** 10], [prefix + str(q + 1), suffix], 10))
 
 
 def check_l(l: int) -> None:

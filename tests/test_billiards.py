@@ -1,4 +1,8 @@
+import string
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from goebel import (
     Classification,
@@ -14,6 +18,7 @@ from goebel import (
 from goebel import billiards, modarith
 from goebel.billiards import construct_b
 from goebel.errors import DomainError, NoWitness
+from goebel.fileio import int_lines
 
 from . import oracles
 from .goldens import A_37_12_FIRST_HALF, B_2_0, B_8_2, SIGMA_37_12
@@ -406,7 +411,7 @@ def test_witness_rows_are_built_with_the_collector_paused(monkeypatch):
 
 # ------------------------------------------------------------- witness text
 
-def test_csv_lines_write_each_value_as_str_does():
+def test_int_lines_write_each_value_as_str_does():
     import numpy as np
 
     edges = [0, 1, 9, 10, 11, 99, 100, 12345, 10 ** 9 - 1, 10 ** 9, 10 ** 18 - 1, 10 ** 18,
@@ -414,20 +419,43 @@ def test_csv_lines_write_each_value_as_str_does():
     a = np.array(edges, dtype=np.int64)
     b = a[::-1].copy()
     c = np.arange(len(a), dtype=np.int64)
-    for prefix, suffix in (("", "\n"), (",\n    ", ""), ("[", "]\n")):
-        want = "".join(
-            f"{prefix}{x},{y},{z}{suffix}" for x, y, z in zip(edges, edges[::-1], range(len(a))))
-        assert billiards._csv_lines([a, b, c], prefix, suffix) == want, (prefix, suffix)
-    assert billiards._csv_lines([a], "", "\n") == "".join(f"{x}\n" for x in edges)
+    # CSV, two other wrappings, and the JSON records of verify's header
+    json_record = [',\n  {\n    "p": ', ',\n    "l": ', ',\n    "m": ', "\n  }"]
+    for pieces in (["", ",", ",", "\n"], [",\n    ", ",", ",", ""], ["[", ",", ",", "]\n"],
+                   json_record):
+        want = "".join(f"{pieces[0]}{x}{pieces[1]}{y}{pieces[2]}{z}{pieces[3]}"
+                       for x, y, z in zip(edges, edges[::-1], range(len(a))))
+        assert int_lines([a, b, c], pieces) == want, pieces
+    assert int_lines([a], ["", "\n"]) == "".join(f"{x}\n" for x in edges)
+    assert int_lines([a], ["", "\n"], 18) == "".join(f"{x:018d}\n" for x in edges)
     empty = np.zeros(0, dtype=np.int64)
-    assert billiards._csv_lines([empty, empty], "", "\n") == ""
+    assert int_lines([empty, empty], ["", ",", "\n"]) == ""
 
 
-def test_witness_rows_give_the_rows_of_verify_range_as_tuples_and_text(monkeypatch):
+@given(st.data())
+def test_int_lines_match_the_str_join_of_random_rows(data):
+    import numpy as np
+
+    rows = data.draw(st.integers(0, 40))
+    value = st.one_of(st.integers(0, 10 ** 4), st.integers(0, 2 ** 63 - 1))
+    columns = [data.draw(st.lists(value, min_size=rows, max_size=rows))
+               for _ in range(data.draw(st.integers(1, 4)))]
+    pieces = data.draw(st.lists(st.text(string.printable, max_size=6),
+                                min_size=len(columns) + 1, max_size=len(columns) + 1))
+    width = data.draw(st.integers(1, 19))
+    want = "".join(
+        pieces[0] + "".join(f"{v:0{width}d}" + piece for v, piece in zip(row, pieces[1:]))
+        for row in zip(*columns))
+    got = int_lines([np.array(col, dtype=np.int64) for col in columns], pieces, width)
+    assert got == want
+
+
+def test_witness_rows_give_the_rows_of_verify_range_as_text(monkeypatch):
     monkeypatch.setattr(billiards, "WITNESS_BATCH_ROWS", 7)
     monkeypatch.setattr(billiards, "WITNESS_WINDOW_ROWS", 20)
     for lo, hi in ((13, 200), (100, 113), (14, 16)):
         want = verify_range(lo, hi)
         rows = billiards.WitnessRows(lo, hi)
-        assert len(rows) == len(want) and list(rows) == [tuple(w) for w in want], (lo, hi)
-        assert "".join(rows.text_blocks("", "\n")) == "".join(f"{p},{l},{m}\n" for p, l, m in want)
+        assert len(rows) == len(want), (lo, hi)
+        assert "".join(rows.text_blocks("", ",", ",", "\n")) == "".join(
+            f"{p},{l},{m}\n" for p, l, m in want)

@@ -613,8 +613,9 @@ def test_survivor_text_has_the_bytes_of_str_in_csv_and_json(tmp_path):
         check(10 ** e - 3, range(6))
         check(max(2, 10 ** e - _BLOCK), range(_BLOCK + 3))
     # the low 10 digits carry into the high ones q, from q = 0 up; at
-    # q = 999 the carry adds a high digit
-    for q in (0, 1, 999, 10 ** 9 - 1, 2 ** 70):
+    # q = 999, and at q = 10^8 - 1 where k reaches 10^18, the carry adds a
+    # high digit
+    for q in (0, 1, 999, 10 ** 8 - 1, 10 ** 9 - 1, 2 ** 70):
         check(q * 10 ** 10 + 10 ** 10 - 2, range(5))
         check(q * 10 ** 10 + 10 ** 10 - 10 ** 8 + 1, [0, _BLOCK, 10 ** 8 - 2, 10 ** 8 - 1])
 
@@ -777,6 +778,8 @@ def test_prime_bounds_below_13_give_the_header_alone(capsys):
     for command, header in (("two-in-jp", "p"), ("jp", "p,l_L,l_R,J_size,ratio"), ("verify", "p,l,m")):
         assert run_cli(command, "--p-max", "12") == 0, command
         assert capsys.readouterr() == (header + "\n", ""), command
+        assert run_cli(command, "--p-max", "12", "--format", "json") == 0, command
+        assert capsys.readouterr() == ("[]\n", ""), command
 
 
 def test_composite_grid_prime_is_rejected_without_sieving(capsys, monkeypatch):
@@ -967,11 +970,16 @@ def test_verify_streams_its_rows_in_flat_memory(tmp_path):
     # a Witness tuple per row and a list of them took this command to a 65 MB peak
     from goebel.modarith import qualifying_primes
 
+    rows = sum((p - 3) // 2 for p in qualifying_primes(13, 5000))
     out = tmp_path / "w.csv"
     assert command_peak_kb("verify", "--p-max", "5000", "-o", str(out)) < 45 * 1024
     with open(out, encoding="ascii") as fh:
         assert next(fh) == "p,l,m\n"
-        assert sum(1 for _ in fh) == sum((p - 3) // 2 for p in qualifying_primes(13, 5000))
+        assert sum(1 for _ in fh) == rows
+    out = tmp_path / "w.json"
+    assert command_peak_kb("verify", "--p-max", "5000", "--format", "json", "-o", str(out)) < 45 * 1024
+    with open(out, encoding="ascii") as fh:
+        assert sum(line == "  {\n" for line in fh) == rows
 
 
 def test_verify_cli(tmp_path):
