@@ -13,20 +13,39 @@ absorbed both move by +-1, so their gap stays even and can only close by
 meeting, after which they coincide; an absorbed walk sits on a barrier,
 the least or greatest value of the board.  So the final value is monotone
 in the start over each parity class.  For p = 1 mod 4 the even starts run
-Left, then Middle, then Right, which makes the block boundaries l_L and
-l_R searchable.
+Left, then Middle, then Right, split at the block edges l_L and l_R.
 
-Two kernels walk.  The scalar `final_value` walks one start at a time;
-`compute_jp` bisects with it, `scan_two_in_jp` calls it once per prime,
-and it is the reference for the other kernel.  `_walk_runs` walks many
-(prime, window of starts) jobs in lockstep as numpy lanes and, by the
-no-crossing property, merges each lane into its left neighbour once they
-meet, so few lanes stay alive.  `jp_summaries` and `classify_all` use it.
-Both read chi from `modarith.qr_bits`, which keeps the table of the last
-prime, so a prime's walks build it once.
+Each edge of a parity class is one walk backwards over n = p-1, ..., 1:
+
+  left:  c starts at 1 for even starts, 0 for odd ones; at step n,
+         c -= 1 if c > 0 and chi(n) = chi(c), else c += 1;
+  right: d starts at 0 for even starts, 1 for odd ones; at step n,
+         d -= 1 if d > 0 and chi(n) != chi(p - d), else d += 1.
+
+The starts of the class that end at 0 are then those <= c - 1, and those
+that end at p those >= p + 1 - d; for the even starts of p = 1 mod 4,
+l_L = c + 1 and l_R = p + 1 - d.  Why: call a position good at time n
+if the walk from it through steps n, ..., p-1 ends at 0.  The walks of
+the class sit on one parity at each time, alternating with n.  Suppose
+the good positions of that parity at time n + 1 are 0 and those
+<= c - 1.  Step n moves each position 0 < x < p of the other parity by
+one: those <= c - 2 land <= c - 1, those >= c + 2 land >= c + 1, and c
+lands on c - 1 or c + 1 as chi(n) chi(c) is -1 or +1.  So the good
+positions at time n are those <= c or those <= c - 2, and at c = 0 only
+the barrier 0 is good, which makes c = 1.  Counted back from time p,
+where only 0 is good (c = 1 for the even starts, whose walks are on even
+positions then, and c = 0 for the odd ones), that is the rule.  The
+right edge is the mirror image, with p - d in place of c.  A walk moves
+one position per step, so c and d stay <= p - n, and chi(p) is never
+read.
+
+`final_value` walks one start forwards, reading chi by Euler's criterion
+until its walk has lasted a few steps and from `modarith.qr_bits` after
+that; `scan_two_in_jp` calls it once per prime.  `compute_jp` and
+`classify_all` run the edge walks one at a time, and `jp_summaries` runs
+those of many primes as numpy lanes in lockstep.
 """
 
-from bisect import bisect_left
 from enum import Enum
 from functools import partial
 from typing import NamedTuple
@@ -61,18 +80,47 @@ def _check_start(p: int, l: int) -> None:
         raise DomainError(f"l must be in [0, {p - 1}], got {l}")
 
 
+# Steps final_value takes on Euler's criterion before it builds the residue
+# table: most walks from l = 2 end within a few steps, and the table costs
+# O(p).  8 and 16 measured level on `two-in-jp`, 32 slower.
+_EULER_STEPS = 16
+
+
+class _EulerChi(dict):
+    """x -> pow(x, (p-1)/2, p), computed on first lookup: 1 or p - 1 as chi(x) is +1 or -1."""
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, x: int) -> int:
+        v = self[x] = pow(x, (self.p - 1) // 2, self.p)
+        return v
+
+
 def final_value(p: int, l: int) -> int:
-    """g~(p) only, with early exit on absorption."""
+    """g~(p) only, with early exit on absorption.
+
+    The first _EULER_STEPS steps read chi by Euler's criterion, so a walk
+    absorbed by then builds no residue table.
+    """
     _check_start(p, l)
-    return _walk_on(p, l, 1, qr_bits(p))
+    n = min(_EULER_STEPS + 1, p)
+    euler = _EulerChi(p)
+    g = _walk_on(p, l, (euler[m] for m in range(1, n)), euler)
+    if n < p and 0 < g < p:
+        bits = qr_bits(p)
+        g = _walk_on(p, g, bits[n:], bits)
+    return g
 
 
-def _walk_on(p: int, g: int, n: int, bits: bytes) -> int:
-    """g~(p) of a walk that is at g before step n; bits[x] != bits[y] iff chi(x) != chi(y)."""
-    for m in range(n, p):
+def _walk_on(p: int, g: int, steps, chi) -> int:
+    """Where the walk at g ends after the steps whose chi(n) `steps` yields
+    in order; chi[x] codes chi(x) the same way (equal codes, equal symbols)."""
+    for b in steps:
         if g == 0 or g == p:
             return g
-        g += 1 if bits[m] == bits[g] else -1
+        g += 1 if b == chi[g] else -1
     return g
 
 
@@ -86,27 +134,30 @@ def classify_l(p: int, l: int) -> Classification:
     return _class_of(p, final_value(p, l))
 
 
-def _least_even_with(pred, p: int) -> int:
-    # pred is false at l = 0 and true at l = p - 1; the set where it holds
-    # is upward closed over even l (monotone final values), so bisect over
-    # the even index i (l = 2i) strictly between those two ends.
-    m = (p - 1) // 2
-    return 2 * bisect_left(range(m + 1), True, 1, m, key=lambda i: pred(2 * i))
+def _edges(chi: bytes, neg: bytes, c: int, d: int) -> tuple[int, int]:
+    """The left and right edge walks (module docstring) from (c, d), over
+    n = p - 1 down to 1; chi is qr_bits(p), and neg[x] codes chi(-x) =
+    chi(p - x) the same way, so it is chi itself for p = 1 mod 4."""
+    for b in chi[:0:-1]:
+        c = c - 1 if c and b == chi[c] else c + 1
+        d = d - 1 if d and b != neg[d] else d + 1
+    return c, d
+
+
+def _jp_from_edges(p: int, c: int, d: int) -> JpSummary:
+    l_L, l_R = c + 1, p + 1 - d
+    return JpSummary(p=p, l_L=l_L, l_R=l_R, count=(l_R - l_L) // 2)
 
 
 def compute_jp(p: int) -> JpSummary:
     """Block boundaries (l_L, l_R) and #J_p = (l_R - l_L) / 2 for p = 1 mod 4, p >= 13.
 
-    Two independent binary searches over the even starts, sound because the
-    final values are monotone in even l (walks of one parity never cross):
-    l_L is the least even l whose walk is not absorbed at 0, l_R the least
-    even l absorbed at p.  Costs at most 2 ceil(log2((p-1)/2)) walks.  It is
-    the reference for the lockstep walks of `jp_summaries`.
+    One backward edge walk per side over the even starts (module
+    docstring): 2 (p - 1) steps, and no walk from any start.
     """
     check_qualifying_prime(p)
-    l_L = _least_even_with(lambda l: final_value(p, l) != 0, p)
-    l_R = _least_even_with(lambda l: final_value(p, l) == p, p)
-    return JpSummary(p=p, l_L=l_L, l_R=l_R, count=(l_R - l_L) // 2)
+    chi = qr_bits(p)
+    return _jp_from_edges(p, *_edges(chi, chi, 1, 0))
 
 
 def scan_two_in_jp(p_max: int, workers: int = 1) -> list[int]:
@@ -119,170 +170,105 @@ def scan_two_in_jp(p_max: int, workers: int = 1) -> list[int]:
     return [p for p, v in zip(primes, finals) if 0 < v < p]
 
 
-# Width of the first window of even starts walked from each end of [0, p-1];
-# a side it does not settle doubles it and walks again.
-JP_WINDOW = 512
-# int8 walk-table bytes per lockstep batch: p + 1 per job, two jobs per prime.
+# Lockstep table bytes per run of primes: 2p - 1 per prime.
 JP_BATCH_BYTES = 1 << 25
-# Steps between merges of the lanes that have met (measured flat from 32 to
-# 128 steps, and 15-20% slower at 8).
-_MERGE_EVERY = 32
-# Once at most this many lanes are still walking, each finishes as a scalar
-# walk.  A numpy step costs about as much as 25 scalar steps, but lanes keep
-# merging; 4 to 8 measured fastest for primes near 10^5 and 10^6, and 4 to
-# 32 were level on 13 primes near 5*10^4.
-_SCALAR_LANES = 8
+# A run of fewer primes walks its edges one prime at a time: a lockstep step
+# of a few lanes costs about as much as 20 scalar steps.  Runs of 20 primes
+# measured level both ways near 5*10^4; near 10^6, 12 were level and 16
+# faster in lockstep.
+_LOCKSTEP_MIN_PRIMES = 20
+# Steps whose chi(n) the lockstep gathers at once.
+_GATHER_STEPS = 256
 
 
-def _walk_runs(jobs: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Walk the starts lo, lo+2, ..., hi of every job (p, lo, hi) in lockstep.
-
-    jobs must be sorted by p.  Returns, per job, the arrays (starts, finals)
-    of its surviving lanes in ascending start order: a lane stands for the
-    run of starts from its own start up to the next lane's, all of which
-    end at its final value g~(p).
-
-    Each job owns a segment of one concatenated table holding chi of its
-    prime, with zeros at both barriers, and a lane holds its position as an
-    absolute index into that table, so one step of every lane is
-    g += S[off + n] * S[g] and an absorbed lane stays put.  Positions are
-    then ascending across the whole lane array (within a job because walks
-    of one parity never cross, across jobs because segments are disjoint),
-    so a lane that has met its left neighbour is found by one comparison
-    and dropped.  Since jobs are sorted by p, the lanes whose walk is over
-    form a prefix.  Once at most _SCALAR_LANES lanes are off the barriers,
-    each of them finishes as a scalar walk and the lockstep stops.
-    """
-    sizes = [p + 1 for p, _, _ in jobs]
-    seg = np.zeros(len(jobs) + 1, dtype=np.intp)
-    np.cumsum(sizes, out=seg[1:])
-    table = np.empty(int(seg[-1]), dtype=np.int8)
-    for (p, _, _), o in zip(jobs, seg.tolist()):
-        table[o : o + p] = np.frombuffer(qr_bits(p), dtype=np.int8)
+def _chi_table(primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(table, centres): per prime p, 2p - 1 int8 entries around its centre,
+    chi(x) at centre + x and -chi(x) at centre - x for 0 < x < p, and -1 at
+    the centre itself."""
+    p_arr = np.asarray(primes, dtype=np.intp)
+    centres = np.cumsum(2 * p_arr - 1) - p_arr
+    table = np.empty(int(centres[-1]) + primes[-1], dtype=np.int8)
+    for p, o in zip(primes, centres.tolist()):
+        bits = np.frombuffer(qr_bits(p), dtype=np.int8)
+        table[o : o + p] = bits
+        np.subtract(1, bits[:0:-1], out=table[o - p + 1 : o])
     table *= 2
     table -= 1
-    table[seg[:-1]] = 0
-    table[seg[1:] - 1] = 0
-    counts = [(hi - lo) // 2 + 1 for _, lo, hi in jobs]
-    start = np.concatenate([np.arange(lo, hi + 1, 2, dtype=np.intp) for _, lo, hi in jobs])
-    off = np.repeat(seg[:-1], counts)
-    g = off + start
-    ends = [p - 1 for p, _, _ in jobs]
-    done_off, done_start, done_final = [], [], []
-    n, done = 1, 0
-    while done < len(jobs):
-        stop = min(n + _MERGE_EVERY, ends[done] + 1)
-        for m in range(n, stop):
-            g += table[off + m] * table[g]
-        n = stop
-        while done < len(jobs) and ends[done] < n:
-            done += 1
-        cut = len(g) if done == len(jobs) else int(np.searchsorted(g, seg[done]))
-        if cut:
-            done_off.append(off[:cut])
-            done_start.append(start[:cut])
-            done_final.append(g[:cut] - off[:cut])
-            g, off, start = g[cut:], off[cut:], start[cut:]
-        keep = np.empty(len(g), dtype=bool)
-        keep[:1] = True
-        np.not_equal(g[1:], g[:-1], out=keep[1:])
-        g, off, start = g[keep], off[keep], start[keep]
-        walking = np.flatnonzero(table[g])  # S is 0 only at the barriers
-        if done < len(jobs) and len(walking) <= _SCALAR_LANES:
-            for i in walking.tolist():
-                o = int(off[i])
-                p = int(seg[np.searchsorted(seg, o, side="right")]) - o - 1
-                g[i] = o + _walk_on(p, int(g[i]) - o, n, table[o : o + p + 1].tobytes())
-            done = len(jobs)
-            done_off.append(off)
-            done_start.append(start)
-            done_final.append(g - off)
-    off = np.concatenate(done_off)
-    start = np.concatenate(done_start)
-    final = np.concatenate(done_final)
-    bounds = np.searchsorted(off, seg).tolist()
-    return [(start[a:b], final[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return table, centres
 
 
-def _jp_sides(sides: list[tuple[int, int]], w: int) -> list[int | None]:
-    """l_L (side 0) or l_R (side 1) of each (p, side) job, walking a window
-    of w even starts at that end of [0, p - 1]; None where the window does
-    not settle it."""
-    jobs = [(p, 0, min(w, p - 1)) if side == 0 else (p, max(p - 1 - w, 0), p - 1)
-            for p, side in sides]
-    out = []
-    for (p, side), (starts, finals) in zip(sides, _walk_runs(jobs)):
-        if side == 0:
-            hit = np.flatnonzero(finals != 0)
-            out.append(int(starts[hit[0]]) if len(hit) else None)
-        else:
-            hit = np.flatnonzero(finals == p)
-            # l_R lies in the window once its lowest start is not absorbed at
-            # p; that lane is never merged away, and from start 0 it ends at 0
-            out.append(int(starts[hit[0]]) if finals[0] != p and len(hit) else None)
-    return out
+def _jp_lockstep(primes: list[int]) -> list[JpSummary]:
+    """compute_jp for ascending primes, with their edge walks as numpy lanes in lockstep.
 
-
-def _byte_batches(sides: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """Consecutive runs of the (p, side) jobs with at most JP_BATCH_BYTES of table each."""
-    batches, batch, size = [], [], 0
-    for job in sides:
-        if batch and size + job[0] + 1 > JP_BATCH_BYTES:
-            batches.append(batch)
-            batch, size = [], 0
-        batch.append(job)
-        size += job[0] + 1
-    if batch:
-        batches.append(batch)
-    return batches
-
-
-def _jp_lockstep(primes: list[int], workers: int) -> list[JpSummary]:
-    """compute_jp for ascending primes, galloping in from both ends.
-
-    Each side walks the window of JP_WINDOW even starts at its end of
-    [0, p - 1]; a side the window does not settle doubles it and walks
-    again.  A window over all starts always settles.
+    Lanes 2i and 2i + 1 walk c and d of primes[i].  For p = 1 mod 4,
+    chi(p - d) = chi(d), so both take the step x += s chi(n) chi(x), with
+    s = -1 for c and +1 for d, except that x = 0 steps to 1.  A lane is
+    instead at y = +-x on the odd extension of chi that _chi_table lays
+    out: the step y += s chi(n) chi(y) keeps |y| = x, the floor included,
+    so a lane is just its position in the table.  Every lane starts at
+    n = p - 1 of its own prime, and since the primes ascend, the lanes
+    whose walk is over form a prefix.
     """
-    pending = [(p, side) for p in primes for side in (0, 1)]
-    found = {}
-    w = JP_WINDOW
-    while pending:
-        batches = _byte_batches(pending)
-        results = pmap(partial(_jp_sides, w=w), batches, workers)
-        pending = []
-        for batch, values in zip(batches, results):
-            for job, value in zip(batch, values):
-                if value is None:
-                    pending.append(job)
-                else:
-                    found[job] = value
-        w *= 2
-    return [
-        JpSummary(p=p, l_L=found[p, 0], l_R=found[p, 1], count=(found[p, 1] - found[p, 0]) // 2)
-        for p in primes
-    ]
+    table, centres = _chi_table(primes)
+    pos = np.repeat(centres, 2)
+    pos[0::2] += 1
+    top = np.repeat(centres + np.asarray(primes, dtype=np.intp), 2)
+    sign = np.tile(np.array([-1, 1], dtype=np.int8), len(primes))
+    ahead = np.arange(_GATHER_STEPS)[:, None]
+    t = 1  # steps taken: the next step of the lanes of p is n = p - t
+    for i, p in enumerate(primes):
+        y = pos[2 * i :]
+        while t < p:
+            k = min(_GATHER_STEPS, p - t)
+            steps = table[top[2 * i :] - t - ahead[:k]]
+            steps *= sign[2 * i :]
+            for s in steps:
+                y += table[y] * s
+            t += k
+    x = np.abs(pos - np.repeat(centres, 2)).tolist()
+    return [_jp_from_edges(p, c, d) for p, c, d in zip(primes, x[0::2], x[1::2])]
+
+
+def _jp_run(primes: list[int]) -> list[JpSummary]:
+    """compute_jp for a run of ascending primes, in lockstep if it holds enough of them."""
+    if len(primes) < _LOCKSTEP_MIN_PRIMES:
+        return [compute_jp(p) for p in primes]
+    return _jp_lockstep(primes)
+
+
+def _runs(primes: list[int]) -> list[list[int]]:
+    """The primes cut into as few consecutive runs of about equal table
+    bytes as keep each near JP_BATCH_BYTES at most."""
+    if not primes:
+        return []
+    size = np.cumsum(2 * np.asarray(primes, dtype=np.int64) - 1)
+    count = -(-int(size[-1]) // JP_BATCH_BYTES)
+    cuts = np.searchsorted(size, size[-1] * np.arange(1, count) / count)
+    return [run.tolist() for run in np.split(np.asarray(primes), cuts) if len(run)]
 
 
 def jp_summaries(p_min: int, p_max: int, workers: int = 1) -> list[JpSummary]:
     """compute_jp for every qualifying prime in [max(p_min, 13), p_max], ascending.
 
-    The numpy lockstep walks of `_walk_runs` find the boundaries, in
-    batches of at most JP_BATCH_BYTES of walk tables spread over the
-    workers.  They rely on the final values being monotone in even l, since
-    walks from starts of one parity never cross (module docstring).
+    The primes are cut into runs of at most about JP_BATCH_BYTES of table
+    (`_runs`), spread over the workers when there is more than one; a run
+    of at least _LOCKSTEP_MIN_PRIMES primes walks its edges in numpy
+    lockstep, a shorter one prime by prime.
     """
-    return _jp_lockstep(qualifying_primes(p_min, p_max), workers)
+    runs = _runs(qualifying_primes(p_min, p_max))
+    return [s for run in pmap(_jp_run, runs, workers) for s in run]
 
 
 def classify_all(p: int) -> list[Classification]:
-    """classify_l(p, l) for l = 0, ..., p - 1, by one lockstep walk per parity."""
+    """classify_l(p, l) for l = 0, ..., p - 1, from the two edge walks of each parity."""
     check_odd_prime(p)
-    classes = [None] * p
-    for lo, (starts, finals) in zip((0, 1), _walk_runs([(p, 0, p - 1), (p, 1, p - 2)])):
-        # the run holding l begins at the greatest lane start <= l
-        runs = np.searchsorted(starts, np.arange(lo, p, 2), side="right") - 1
-        classes[lo::2] = [_class_of(p, v) for v in finals[runs].tolist()]
+    chi = qr_bits(p)
+    neg = chi[:1] + chi[:0:-1]
+    classes = [Classification.MIDDLE] * p
+    for lo, (c, d) in enumerate((_edges(chi, neg, 1, 0), _edges(chi, neg, 0, 1))):
+        # the starts of this parity <= c - 1 end at 0, those >= p + 1 - d at p
+        classes[lo:c:2] = [Classification.LEFT] * len(range(lo, c, 2))
+        classes[p + 1 - d :: 2] = [Classification.RIGHT] * len(range(p + 1 - d, p, 2))
     return classes
 
 

@@ -217,12 +217,29 @@ def reduced_trace(p: int, l: int) -> ReducedTrace:
     return ReducedTrace(p=p, l=l, values=values)
 
 
+def final_values(p: int, starts) -> np.ndarray:
+    """g~(p) of every start, all walked forwards together over the residue bitmap.
+
+    Walks that meet coincide from then on, so every 64 steps the lanes
+    are cut down to their distinct positions.
+    """
+    chi = np.append(np.frombuffer(qr_bits(p), dtype=np.int8) * 2 - 1, 0)
+    chi[0] = 0  # both barriers absorb
+    g, lane = np.unique(np.asarray(starts, dtype=np.int64), return_inverse=True)
+    for n in range(1, p):
+        g += chi[n] * chi[g]
+        if n % 64 == 0:
+            g, merged = np.unique(g, return_inverse=True)
+            lane = merged[lane]
+    return g[lane]
+
+
 def compute_jp_linear(p: int) -> JpSummary:
-    """Linear-scan reference for compute_jp (oracle; O(p) walks)."""
+    """Linear-scan reference for compute_jp: the final value of every even start."""
     check_qualifying_prime(p)
-    finals = {l: final_value(p, l) for l in range(0, p, 2)}
-    l_L = min(l for l, v in finals.items() if v != 0)
-    l_R = min(l for l, v in finals.items() if v == p)
+    finals = final_values(p, range(0, p, 2))
+    l_L = 2 * int(np.flatnonzero(finals != 0)[0])
+    l_R = 2 * int(np.flatnonzero(finals == p)[0])
     return JpSummary(p=p, l_L=l_L, l_R=l_R, count=(l_R - l_L) // 2)
 
 

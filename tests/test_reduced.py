@@ -1,6 +1,6 @@
-import math
 import random
 
+import numpy as np
 import pytest
 
 from goebel import (
@@ -13,11 +13,11 @@ from goebel import (
 )
 from goebel import reduced
 from goebel.errors import DomainError
-from goebel.modarith import qualifying_primes
+from goebel.modarith import qr_bits, qualifying_primes
 from goebel.reduced import JpSummary, classify_all, final_value, jp_ratio_table, jp_summaries
 
 from .goldens import JP_TABLE, TWO_IN_JP_BELOW_1E4
-from .oracles import compute_jp_linear, naive_legendre, reduced_trace
+from .oracles import compute_jp_linear, final_values, naive_legendre, reduced_trace
 
 
 def test_trace_from_zero_is_constant():
@@ -44,6 +44,46 @@ def test_trace_matches_final_value():
     for p in (13, 101, 499):
         for l in range(p):
             assert reduced_trace(p, l).values[-1] == final_value(p, l), (p, l)
+        assert final_values(p, range(p)).tolist() == [final_value(p, l) for l in range(p)], p
+
+
+def _walks_settling_near(T):
+    """(p, l, s) for the walks that first sit on a barrier after s steps,
+    T - 1 <= s <= T + 1; only starts within T + 1 of a barrier can."""
+    out = []
+    for p in primes_in_range(2 * T + 3, 1700):
+        bits = qr_bits(p)
+        for l in [*range(1, T + 2), *range(p - T - 1, p)]:
+            g = l
+            for s in range(1, T + 2):
+                g += 1 if bits[s] == bits[g] else -1
+                if g in (0, p):
+                    if s >= T - 1:
+                        out.append((p, l, s))
+                    break
+    return out
+
+
+def test_final_value_settles_in_its_prefix_without_a_table(monkeypatch):
+    # walks that settle at T - 1, T and T + 1 steps, T the Euler-criterion
+    # prefix, and every walk of the primes below T
+    T = reduced._EULER_STEPS
+    cases = {T - 1: [], T: [], T + 1: [], None: []}
+    for p, l, s in _walks_settling_near(T):
+        vals = reduced_trace(p, l).values
+        assert vals[s] in (0, p) and vals[s - 1] not in (0, p), (p, l, s)
+        cases[s].append((p, l, vals[-1]))
+    for p in primes_in_range(3, T - 1):
+        cases[None] += [(p, l, reduced_trace(p, l).values[-1]) for l in range(p)]
+    assert all(len(walks) >= 4 for walks in cases.values()), {k: len(v) for k, v in cases.items()}
+    built = []
+    real = reduced.qr_bits
+    monkeypatch.setattr(reduced, "qr_bits", lambda p: built.append(p) or real(p))
+    for key, walks in cases.items():
+        built.clear()
+        assert [final_value(p, l) for p, l, _ in walks] == [v for _, _, v in walks], key
+        # only a walk still on the board after T steps builds the table
+        assert built == ([p for p, _, _ in walks] if key == T + 1 else []), key
 
 
 def test_diagonal_absorption():
@@ -126,15 +166,16 @@ def test_compute_jp_matches_linear_scan():
             assert compute_jp(p) == compute_jp_linear(p), p
 
 
-def test_compute_jp_bisects_over_the_even_starts(monkeypatch):
-    # two bisections over the (p - 1) / 2 even starts, not a scan
-    calls = []
-    walk = reduced.final_value
-    monkeypatch.setattr(reduced, "final_value", lambda p, l: calls.append(l) or walk(p, l))
-    for p in qualifying_primes(13, 2000):
-        calls.clear()
-        compute_jp(p)
-        assert 0 < len(calls) <= 2 * math.ceil(math.log2((p - 1) / 2)), p
+def test_compute_jp_makes_no_forward_walk(monkeypatch):
+    # two backward edge walks, and no walk from any start
+    want = [compute_jp_linear(p) for p in qualifying_primes(13, 2000)]
+
+    def no_walk(*args):
+        raise AssertionError("forward walk")
+
+    monkeypatch.setattr(reduced, "final_value", no_walk)
+    monkeypatch.setattr(reduced, "_walk_on", no_walk)
+    assert [compute_jp(p) for p in qualifying_primes(13, 2000)] == want
 
 
 @pytest.mark.slow
@@ -234,13 +275,12 @@ def test_lockstep_jp_matches_scalar_below_3000():
     assert jp_summaries(13, 17) == [compute_jp(13), compute_jp(17)]
 
 
-def test_lockstep_jp_matches_scalar_near_1e5_with_a_second_round():
-    # the first windows do not settle l_L of 99881 or l_R of 99901
-    first = reduced._jp_sides([(99881, 0), (99901, 1), (99989, 0), (99989, 1)], reduced.JP_WINDOW)
-    assert first[:2] == [None, None] and None not in first[2:]
+def test_jp_edges_match_linear_scan_near_1e5_both_paths():
     primes = qualifying_primes(5 * 10 ** 4, 10 ** 5)
     sample = sorted(random.Random(10).sample(primes[:-3], 4)) + [99881, 99901, 99989]
-    assert reduced._jp_lockstep(sample, workers=1) == [compute_jp(p) for p in sample]
+    want = [compute_jp_linear(p) for p in sample]
+    assert [compute_jp(p) for p in sample] == want
+    assert reduced._jp_lockstep(sample) == want
 
 
 def test_lockstep_jp_matches_linear_scan():
@@ -248,49 +288,71 @@ def test_lockstep_jp_matches_linear_scan():
         assert s == compute_jp_linear(s.p), s.p
 
 
-def test_lockstep_jp_gallops_from_a_tiny_window(monkeypatch):
-    monkeypatch.setattr(reduced, "JP_WINDOW", 2)
+def test_jp_edges_match_linear_scan_below_3000_both_paths(monkeypatch):
+    primes = qualifying_primes(13, 3000)
+    want = [compute_jp_linear(p) for p in primes]
+    assert [compute_jp(p) for p in primes] == want
+    assert reduced._jp_lockstep(primes) == want
+    for least in (1, len(primes) + 1):  # every run in lockstep, then none
+        monkeypatch.setattr(reduced, "_LOCKSTEP_MIN_PRIMES", least)
+        assert jp_summaries(13, 3000) == want, least
+
+
+def test_jp_summaries_match_compute_jp_through_both_paths(monkeypatch):
     primes = qualifying_primes(13, 1500)
     want = [compute_jp(p) for p in primes]
-    # windows {0, 2} and {p - 3, p - 1} settle only l_L = 2 and l_R = p - 1
-    first = reduced._jp_sides([(p, s) for p in primes for s in (0, 1)], 2)
-    assert first[0::2] == [s.l_L if s.l_L == 2 else None for s in want]
-    assert first[1::2] == [s.l_R if s.l_R == s.p - 1 else None for s in want]
-    assert jp_summaries(13, 1500) == want
+    assert reduced._jp_lockstep(primes) == want
+    for least in (1, len(primes) + 1):
+        monkeypatch.setattr(reduced, "_LOCKSTEP_MIN_PRIMES", least)
+        assert jp_summaries(13, 1500) == want, least
 
 
 def test_walk_tables_peak_memory_is_a_few_bytes_per_unit_of_p():
     import tracemalloc
 
-    # two jobs on one prime, as the two sides of a J_p search make; their
-    # lanes start on the barrier at 0, so the tables are built but no step
-    # runs: the tables set the peak, and tracing the steps of the two side
-    # windows would take seconds
+    # the lockstep table of one prime: its 2p - 1 entries, with the residue
+    # bitmap they are built from
     p = 2000029
     tracemalloc.start()
     try:
-        runs = reduced._walk_runs([(p, 0, 0), (p, 0, 0)])
+        table, centres = reduced._chi_table([p])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # an int64 temporary for the +-1 table peaked at 12 bytes per unit of p
     assert peak < 10.5 * p
-    assert [(list(starts), list(finals)) for starts, finals in runs] == [([0], [0])] * 2
+    assert centres.tolist() == [p - 1] and len(table) == 2 * p - 1
+    chi = np.frombuffer(qr_bits(p), dtype=np.int8) * 2 - 1
+    assert (table[p - 1 :] == chi).all() and (table[: p - 1] == -chi[:0:-1]).all()
 
 
 def test_lockstep_batches_split_by_table_bytes(monkeypatch):
-    monkeypatch.setattr(reduced, "JP_BATCH_BYTES", 4000)
-    jobs = [(p, s) for p in qualifying_primes(13, 3000) for s in (0, 1)]
-    batches = reduced._byte_batches(jobs)
-    assert [j for b in batches for j in b] == jobs
-    assert all(sum(p + 1 for p, _ in b) <= 4000 for b in batches)
-    assert jp_summaries(13, 3000, workers=2) == [compute_jp(p) for p, _ in jobs[::2]]
+    monkeypatch.setattr(reduced, "JP_BATCH_BYTES", 1 << 16)
+    primes = qualifying_primes(13, 3000)
+    runs = reduced._runs(primes)
+    assert [p for run in runs for p in run] == primes
+    # about equal runs, none more than one prime's table over the budget
+    assert all(sum(2 * p - 1 for p in run) <= (1 << 16) + 2 * run[-1] for run in runs)
+    # some runs walk in lockstep, the others prime by prime
+    assert min(map(len, runs)) < reduced._LOCKSTEP_MIN_PRIMES <= max(map(len, runs))
+    assert jp_summaries(13, 3000, workers=2) == [compute_jp(p) for p in primes]
+    assert reduced._runs(primes[:3]) == [primes[:3]]
+    assert reduced._runs([]) == []
 
 
 def test_classify_all_matches_classify_l():
     # 103 is 3 mod 4: every even start ends at 0
     for p in (3, 5, 13, 101, 103, 4001):
         assert classify_all(p) == [classify_l(p, l) for l in range(p)], p
+
+
+def test_classify_all_matches_forward_walks_below_1500():
+    for p in primes_in_range(3, 1500):
+        want = [
+            Classification.LEFT if v == 0 else Classification.RIGHT if v == p else Classification.MIDDLE
+            for v in final_values(p, range(p)).tolist()
+        ]
+        assert classify_all(p) == want, p
 
 
 def test_classify_all_rejects_non_primes():
