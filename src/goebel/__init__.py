@@ -27,13 +27,12 @@ _SUBMODULE = {
             "verify_range",
         ),
         "errors": ("DomainError", "GoebelError"),
-        "exact": ("DEFAULT_N_LIMIT", "exact_N", "exact_N_range"),
+        "exact": ("DEFAULT_N_LIMIT", "exact_N", "exact_N_range", "prime_trace_mod_p"),
         "modarith": ("primes_in_range",),
         "reduced": ("Classification", "classify_l", "compute_jp", "jp_summaries", "scan_two_in_jp"),
         "sieve": (
             "bad_residues",
             "grid_scan",
-            "prime_trace_mod_p",
             "sieve_range",
             "sieve_tables",
             "smallest_sieving_prime",

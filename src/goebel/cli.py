@@ -331,7 +331,8 @@ def cmd_jp(args) -> int:
     from . import reduced
 
     if args.classify is not None:
-        rows = [(l, c.value) for l, c in enumerate(reduced.classify_all(args.classify))]
+        classes = reduced.classify_all(args.classify)
+        rows = _SizedRows(len(classes), ((l, c.value) for l, c in enumerate(classes)))
         write_rows(args.output, ["l", "classification"], rows, args.format)
     else:
         rows = reduced.jp_ratio_table(args.p_max, args.p_min, workers=args.threads)

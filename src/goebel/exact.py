@@ -2,18 +2,18 @@
 
 The sequence g(1) = l, (n+1) g(n+1) = g(n) (n + g(n)^(k-1)) stays rational;
 we want the first index where it leaves the integers.  Terms grow doubly
-exponentially, so a run of length L tracks only the residue of g(n) modulo
-d = L!/n!.  While n+1 <= L, n+1 divides d, so the step from n to n+1 is a
-plain exact division: g(n+1) is non-integral exactly when n+1 does not
-divide h = n g(n) + g(n)^k mod d, and otherwise h/(n+1) is g(n+1) modulo
-the next modulus d/(n+1).  One run therefore finds the first break at any
-index <= L; exact_N doubles L from 64 up to its limit.
+exponentially, so every run is one lane, _lane: g(n) is kept modulo a
+starting modulus d that shrinks by c = gcd(d, n+1) at each step, and the
+run breaks at n+1 when c does not divide h = n g(n) + g(n)^k mod d.  The
+callers differ only in d:
 
-run_once is the older shrinking-modulus run: its modulus starts at
-cumulative_product(n_max) and is divided by gcd(d, n+1) at each step, so
-only the break at index n_max itself is certain to show, and a scan needs
-one run per n_max.  The tests keep it as the reference that exact_N is
-checked against.
+- exact_N starts a run of length L at d = L!.  While n+1 <= L, n+1 divides
+  d = L!/n!, so every step is an exact division, and one run finds the
+  first break at any index <= L.  exact_N doubles L from 64 up to its limit.
+- run_once starts at d = cumulative_product(n_max), the prime powers of
+  n_max! over the primes dividing n_max, so only the break at index n_max
+  itself is certain to show.
+- prime_trace_mod_p starts at d = p: the lane of one prime, run to p.
 """
 
 from functools import partial
@@ -21,7 +21,7 @@ from math import factorial, gcd
 from typing import NamedTuple
 
 from .errors import DomainError
-from .modarith import cumulative_product
+from .modarith import check_odd_prime, cumulative_product
 from .parallel import pmap
 
 # Covers the largest breakdown point known for k <= 10^7 (9011) with slack.
@@ -54,56 +54,62 @@ class NkResult(NamedTuple):
         return "exceeded" if self.n is None else "exact"
 
 
-def run_once(k: int, l: int, n_max: int) -> BreakReport | None:
-    """Run the recurrence for n = 1..n_max-1; None means no break detected.
+def _lane(k: int, l: int, n_max: int, d: int) -> BreakReport | None:
+    """The first break at an index in [2, n_max] that the modulus d shows, else None.
 
-    The residue starts as l mod P with P = cumulative_product(n_max).  The
-    scan of run_once over n_max = 2, 3, ... is the reference exact_N is
-    tested against.
+    g(n) is kept mod d.  Step n takes h = n g + g^k mod d and c = gcd(d, n+1).
+    For c = 1, g(n+1) = h (n+1)^-1 mod d.  Otherwise g(n+1) is an integer
+    only if c divides h, the break is reported as (h mod c, c), and g(n+1)
+    is (h / c) ((n+1) / c)^-1 mod d / c, the next modulus; for c = n+1
+    that is the exact quotient.  The run stops once d reaches 1.
     """
-    if k < 1 or l < 0 or n_max < 2:
-        raise DomainError(f"run_once requires k >= 1, l >= 0, n_max >= 2; got {(k, l, n_max)}")
-    d = cumulative_product(n_max)
     g = l % d
     for n in range(1, n_max):
-        g_mult = n * g + pow(g, k, d)
-        m = gcd(d, n + 1)
-        if m == 1:
-            g = g_mult * pow(n + 1, -1, d) % d
-        else:
-            if g_mult % m:
-                return BreakReport(k=k, l=l, n_break=n + 1, residue=g_mult % d, modulus_at_break=d)
-            d //= m
-            if d == 1:
-                return None  # modulus exhausted, no break can follow
-            g = g_mult // m * pow((n + 1) // m, -1, d) % d
-    return None
-
-
-def first_break(k: int, l: int, length: int) -> BreakReport | None:
-    """The first index in [2, length] where g leaves the integers, else None.
-
-    One run under the modulus d = length!/n! (see the module docstring).
-    The report carries the breaking index as modulus_at_break and the
-    residue of n g(n) modulo it, as the final step of run_once(k, l, n) does.
-    """
-    d = factorial(length)
-    g = l % d
-    for n in range(1, length):
         m = n + 1
-        g, r = divmod((n * g + pow(g, k, d)) % d, m)
+        h = (n * g + pow(g, k, d)) % d
+        c = gcd(d, m)
+        if c == 1:
+            g = h * pow(m, -1, d) % d
+            continue
+        g, r = divmod(h, c)
         if r:
-            return BreakReport(k=k, l=l, n_break=m, residue=r, modulus_at_break=m)
-        d //= m
+            return BreakReport(k=k, l=l, n_break=m, residue=r, modulus_at_break=c)
+        d //= c
+        if d == 1:
+            return None
+        if c < m:
+            g = g * pow(m // c, -1, d) % d
     return None
+
+
+def run_once(k: int, l: int, n_max: int) -> BreakReport | None:
+    """The lane from l mod cumulative_product(n_max), run to index n_max; None means no break seen."""
+    if k < 1 or l < 0 or n_max < 2:
+        raise DomainError(f"run_once requires k >= 1, l >= 0, n_max >= 2; got {(k, l, n_max)}")
+    return _lane(k, l, n_max, cumulative_product(n_max))
+
+
+def prime_trace_mod_p(k_res: int, l_res: int, p: int) -> int:
+    """Residue of p*g(p) mod p for the sequence with exponent k_res, start l_res.
+
+    The lane under d = p: every divisor below p is invertible, and the last
+    step divides by p.  Zero means g(p) keeps p out of its denominator.
+    k_res is used literally, so k_res = 0 is the k = 0 recurrence, not the
+    class 0 of the sieve tables.
+    """
+    check_odd_prime(p)
+    if not 0 <= l_res < p:
+        raise DomainError(f"l_res must be in [0, {p - 1}], got {l_res}")
+    report = _lane(k_res, l_res, p, p)
+    return 0 if report is None else report.residue
 
 
 def exact_N(k: int, l: int, n_limit: int = DEFAULT_N_LIMIT) -> NkResult:
     """Smallest n in [2, n_limit] with g(n) not an integer, else exceeded.
 
-    Runs first_break at lengths 64, 128, ... capped at n_limit, so a break
-    at index N costs at most about 2N steps.  l in {0, 1} and k = 1 give
-    constant sequences, which never break.
+    Runs the lane under d = L! at lengths L = 64, 128, ... capped at
+    n_limit, so a break at index N costs at most about 2N steps.  l in
+    {0, 1} and k = 1 give constant sequences, which never break.
     """
     if k < 1 or l < 0 or n_limit < 2:
         raise DomainError(f"exact_N requires k >= 1, l >= 0, n_limit >= 2; got {(k, l, n_limit)}")
@@ -111,7 +117,7 @@ def exact_N(k: int, l: int, n_limit: int = DEFAULT_N_LIMIT) -> NkResult:
         return NkResult(k=k, l=l, n=None, limit=n_limit)
     length = min(64, n_limit)
     while True:
-        report = first_break(k, l, length)
+        report = _lane(k, l, length, factorial(length))
         if report is not None:
             return NkResult(k=k, l=l, n=report.n_break, limit=n_limit, report=report)
         if length == n_limit:

@@ -1,4 +1,4 @@
-"""Single-prime congruence traces and residue-class sieving over k.
+"""Bad-residue tables of single primes, and residue-class sieving over k.
 
 The non-integrality test at an odd prime p depends on k only through
 k mod (p-1), so one bad residue class eliminates a whole arithmetic
@@ -7,14 +7,14 @@ _lane_traces, that runs the trace of many lanes (p, u, a) in lockstep:
 all exponent classes a of every prime p and start value u in a batch,
 with powers from discrete logs against a primitive root.  Lanes that
 settle leave early, and most do.  The (k, l) grid of a prime is the
-union of its tables.  The scalar prime_trace_mod_p is the reference the
-tests compare the kernel against.
+union of its tables.  The tests compare the kernel against the scalar
+exact.prime_trace_mod_p, the exact lane of one prime run to p.
 
 Exponent-class convention: table entries are labeled by a in [0, p-2].
 For callers with actual k >= 1 the class a = 0 stands for k = p-1,
 2(p-1), ..., and is evaluated with exponent p-1.  A literal exponent 0
 (the k = 0 recurrence, a different sequence) is available only through
-prime_trace_mod_p directly.
+exact.prime_trace_mod_p directly.
 """
 
 from bisect import bisect_right
@@ -29,23 +29,6 @@ from .errors import DomainError
 from .fileio import int_lines, read_keyed, replace_lines
 from .modarith import SIEVE_MAX, check_odd_prime, factorize, primes_in_range
 from .parallel import pmap
-
-
-def prime_trace_mod_p(k_res: int, l_res: int, p: int) -> int:
-    """Residue of p*g(p) mod p for the sequence with exponent k_res, start l_res.
-
-    Maintains u = g(n) mod p for n = 1..p-1 (every divisor below p is
-    invertible), then returns (p-1)*u + u^k_res at the final step.  Zero
-    means g(p) keeps p out of its denominator.  k_res is used literally;
-    see the module docstring for the class-0 convention.
-    """
-    check_odd_prime(p)
-    if not 0 <= l_res < p:
-        raise DomainError(f"l_res must be in [0, {p - 1}], got {l_res}")
-    u = l_res
-    for n in range(1, p - 1):
-        u = (n * u + pow(u, k_res, p)) * pow(n + 1, -1, p) % p
-    return ((p - 1) * u + pow(u, k_res, p)) % p
 
 
 def primitive_root(p: int) -> int:
@@ -126,7 +109,7 @@ def _lane_tables(primes):
 
 
 def _lane_traces(P, u, E) -> np.ndarray:
-    """prime_trace_mod_p of every lane (P[i], u[i], E[i]), all lanes in one lockstep.
+    """exact.prime_trace_mod_p of every lane (P[i], u[i], E[i]), all lanes in one lockstep.
 
     P holds odd primes in ascending order (at least one), u start values
     in [0, P-1] and E exponents or their classes mod P-1 (class 0 is
@@ -265,20 +248,18 @@ class SieveOutcome:
 
         With q, r = divmod(k_lo, 10^10), each k is q * 10^10 + (r + offset);
         an offset is an int32, below 2^31 < 10^10, so r + offset fits int64
-        and reaches 10^10 at most once.  For q = 0 it is k, one int_lines
-        call per block.  Otherwise the high digits are part of the prefix,
-        str(q), or str(q + 1) from the survivor at which r + offset reaches
-        10^10 on, and the low ones are 10 wide.
+        and reaches 10^10 at most once.  The high digits are part of the
+        prefix: str(q), or str(q + 1) from the survivor at which r + offset
+        reaches 10^10 on, after which the low ones are 10 wide.  Before
+        that, for q = 0, the head is empty and the low digits are k itself.
         """
         q, r = divmod(self.k_lo, 10 ** 10)
+        head, width = (str(q), 10) if q else ("", 1)
         for start in range(0, len(self.offsets), _BLOCK):
             values = self.offsets[start : start + _BLOCK].astype(np.int64)
             values += r
-            if not q:
-                yield int_lines([values], [prefix, suffix])
-                continue
             carry = int(np.searchsorted(values, 10 ** 10))
-            yield (int_lines([values[:carry]], [prefix + str(q), suffix], 10)
+            yield (int_lines([values[:carry]], [prefix + head, suffix], width)
                    + int_lines([values[carry:] - 10 ** 10], [prefix + str(q + 1), suffix], 10))
 
 

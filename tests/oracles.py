@@ -4,12 +4,13 @@ Two sections.  The naive oracles share no code with the library: exact
 fractions, repeated multiplication, mod-p traces walked over tables of
 inverses and powers, set enumeration, and brute-force enumeration of the
 billiard sign conditions.  The lemma checks and references are built on
-library pieces: the full reduced walk with its zigzag test, the
-linear-scan J_p oracle, the billiard wall sign psi, the b-sequence
-symmetry identities, the a = b consistency check, the scalar witness
-search with its O(1) b evaluator, the exponent representative of a
-residue class, and the strided-slice sieve marker.  They check the
-library against the paper's lemmas; the library itself never calls them.
+library pieces: the shrinking-modulus run that exact_N is scanned
+against, the full reduced walk with its zigzag test, the linear-scan J_p
+oracle, the billiard wall sign psi, the b-sequence symmetry identities,
+the a = b consistency check, the scalar witness search with its O(1) b
+evaluator, the exponent representative of a residue class, and the
+strided-slice sieve marker.  They check the library against the paper's
+lemmas; the library itself never calls them.
 """
 
 import math
@@ -20,7 +21,8 @@ import numpy as np
 
 from goebel.billiards import Witness, _check_pl, construct_a, construct_b
 from goebel.errors import DomainError, NoWitness
-from goebel.modarith import check_qualifying_prime, primes_in_range, qr_bits
+from goebel.exact import BreakReport
+from goebel.modarith import check_qualifying_prime, cumulative_product, primes_in_range, qr_bits
 from goebel.reduced import JpSummary, _check_start, final_value
 from goebel.sieve import check_range, sieve_tables
 
@@ -192,6 +194,31 @@ def brute_force_b(l, s):
 
 # ------------------------------------------------------------- lemma checks and references
 # Built on library pieces, to check the library against the paper's lemmas.
+
+def shrinking_run(k: int, l: int, n_max: int) -> BreakReport | None:
+    """The recurrence for n = 1..n_max-1 from l mod cumulative_product(n_max); None if no break shows.
+
+    The modulus d shrinks by m = gcd(d, n+1) at each step, and a break
+    reports n g + g^k mod d, with d as its modulus.  Only the break at
+    n_max is certain to show, so exact_N is checked against the scan of
+    this run over n_max = 2, 3, ...
+    """
+    d = cumulative_product(n_max)
+    g = l % d
+    for n in range(1, n_max):
+        g_mult = n * g + pow(g, k, d)
+        m = math.gcd(d, n + 1)
+        if m == 1:
+            g = g_mult * pow(n + 1, -1, d) % d
+        else:
+            if g_mult % m:
+                return BreakReport(k=k, l=l, n_break=n + 1, residue=g_mult % d, modulus_at_break=d)
+            d //= m
+            if d == 1:
+                return None  # modulus exhausted, no break can follow
+            g = g_mult // m * pow((n + 1) // m, -1, d) % d
+    return None
+
 
 @dataclass(frozen=True)
 class ReducedTrace:

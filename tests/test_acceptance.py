@@ -7,8 +7,6 @@ worker processes; everything is deterministic regardless of worker count.
 import os
 from fractions import Fraction
 
-import pytest
-
 from goebel import (
     DEFAULT_N_LIMIT,
     Classification,
@@ -106,7 +104,6 @@ def test_criterion_05_two_in_jp_scan():
     _report(5, ok, "the 15 primes below 10^4 with 2 in the middle block, ending 9001")
 
 
-@pytest.mark.slow
 def test_criterion_05_extended_count_below_1e6():
     got = scan_two_in_jp(10 ** 6, workers=WORKERS)
     ok = len(got) == 502 and got[:15] == TWO_IN_JP_BELOW_1E4

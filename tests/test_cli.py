@@ -4,6 +4,8 @@ import os
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goebel.cli import main, parse_krange
 
@@ -496,6 +498,60 @@ def test_sieve_cli_with_tables_and_spot_check(tmp_path, capsys):
     assert "3,2:\n" in text
 
 
+# (option, name, argv): the commands share the state file or directory of
+# each name, which the option passes; an exact run reads and writes the
+# cache of its l, a sieve run the tables of its start value
+_EXACT_RUNS = st.builds(
+    lambda ks, l, limit, fmt: ("--cache-dir", "cache", (
+        "exact", "--k", f"{min(ks)}..{max(ks)}", "--l", str(l), "--limit", str(limit),
+        "--format", fmt)),
+    st.tuples(st.integers(1, 75), st.integers(1, 75)),
+    st.integers(0, 3),
+    st.integers(2, 100),
+    st.sampled_from(["csv", "json"]),
+)
+_SIEVE_RUNS = st.builds(
+    lambda k_lo, width, p_max, l, spots, seed, fmt, tables: (
+        "--tables", f"tables{tables}.txt", (
+            "sieve", "--k-lo", str(k_lo), "--k-hi", str(k_lo + width), "--p-max", str(p_max),
+            "--l", str(l), "--spot-check", str(spots), "--seed", str(seed), "--format", fmt)),
+    st.integers(2, 3000),
+    st.integers(0, 2000),
+    st.integers(3, 60),
+    st.integers(0, 3),
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.sampled_from(["csv", "json"]),
+    st.integers(0, 2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_EXACT_RUNS, _SIEVE_RUNS), min_size=1, max_size=6))
+def test_output_depends_on_the_arguments_alone(runs):
+    """Commands that share one cache directory, or one of three tables files,
+    give the output bytes, stderr and exit code of the same command run cold."""
+    import contextlib
+    import tempfile
+
+    def run(argv, option, state):
+        out = os.path.join(work, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run_cli(*argv, option, state, "-o", out)
+        with open(out, "rb") as fh:
+            body = fh.read()
+        os.remove(out)
+        return body, err.getvalue(), rc
+
+    with tempfile.TemporaryDirectory() as work:
+        for i, (option, name, argv) in enumerate(runs):
+            cold = os.path.join(work, f"cold{i}")
+            os.mkdir(cold)
+            warm = run(argv, option, os.path.join(work, name))
+            assert warm == run(argv, option, os.path.join(cold, name)), (i, runs)
+
+
 class CountingRaw(io.RawIOBase):
     """A raw byte stream that keeps what is written and counts the write calls."""
 
@@ -753,6 +809,18 @@ def test_jp_classify_builds_one_residue_table(tmp_path, monkeypatch, cold_qr_bit
         f"{l},{'right' if l % 2 or l >= 10 else 'middle' if l >= 4 else 'left'}"
         for l in range(13)
     ]
+
+
+def test_jp_classify_streams_its_rows(tmp_path):
+    # a list of P (l, value) tuples took this command to a 140 MB peak; it peaks near 47 MB
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"cls.{fmt}"
+        assert command_peak_kb("jp", "--classify", "1000003", "--format", fmt, "-o", str(out)) < 80 * 1024
+    with open(tmp_path / "cls.csv", encoding="ascii") as fh:
+        assert next(fh) == "l,classification\n"
+        assert sum(1 for _ in fh) == 1000003
+    with open(tmp_path / "cls.json", encoding="ascii") as fh:
+        assert sum(line == "  {\n" for line in fh) == 1000003
 
 
 def test_prime_bounds_above_the_table_limit_are_an_error(capsys, monkeypatch):

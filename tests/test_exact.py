@@ -6,7 +6,7 @@ from goebel import bad_residues, exact_N, exact_N_range, primes_in_range
 from goebel.errors import DomainError
 from goebel.exact import BreakReport, run_once
 
-from .oracles import first_nonintegral, goebel_terms, rational_trace_at_p
+from .oracles import first_nonintegral, goebel_terms, rational_trace_at_p, shrinking_run
 
 
 def test_run_once_spans_the_classic_breakdown():
@@ -30,6 +30,39 @@ def test_run_once_validates_arguments():
         run_once(2, -1, 10)
     with pytest.raises(DomainError):
         run_once(2, 2, 1)
+
+
+def test_exact_N_run_once_and_prime_trace_run_the_one_lane_kernel(monkeypatch):
+    import goebel.exact
+    from goebel import prime_trace_mod_p
+
+    def lane(*args):
+        raise RuntimeError("the lane kernel ran")
+
+    monkeypatch.setattr(goebel.exact, "_lane", lane)
+    for run in (lambda: exact_N(2, 2, 100), lambda: run_once(2, 2, 43),
+                lambda: prime_trace_mod_p(2, 2, 43)):
+        with pytest.raises(RuntimeError, match="the lane kernel ran"):
+            run()
+    assert not hasattr(goebel.exact, "first_break")
+
+
+def test_run_once_breaks_where_the_shrinking_run_does():
+    """The same first break index; at n_max itself the same report, and before
+    it the residue of the reference's report modulo the gcd that broke."""
+    for k in range(1, 9):
+        for l in range(9):
+            for n_max in range(2, 71):
+                want, got = shrinking_run(k, l, n_max), run_once(k, l, n_max)
+                assert (got is None) == (want is None), (k, l, n_max)
+                if want is None:
+                    continue
+                assert got.n_break == want.n_break, (k, l, n_max)
+                if want.n_break == n_max:
+                    assert got == want, (k, l, n_max)
+                else:
+                    assert want.modulus_at_break % got.modulus_at_break == 0, (k, l, n_max)
+                    assert got.residue == want.residue % got.modulus_at_break, (k, l, n_max)
 
 
 def test_exact_N_published_values():
@@ -58,16 +91,16 @@ def test_exact_N_k1_is_constant_and_exceeds_immediately(monkeypatch):
     def no_scan(*args):
         raise AssertionError("exact_N ran a scan for the constant k = 1 sequence")
 
-    monkeypatch.setattr(goebel.exact, "first_break", no_scan)
+    monkeypatch.setattr(goebel.exact, "_lane", no_scan)
     r = exact_N(1, 2, 12000)
     assert r.exceeded and r.limit == 12000
     assert goebel_terms(1, 5, 30) == [5] * 30
 
 
 def _run_once_scan(k, l, n_limit):
-    """The reference scan: run_once for n_max = 2, 3, ..., first break wins."""
+    """The reference scan: the shrinking run for n_max = 2, 3, ..., first break wins."""
     for n_max in range(2, n_limit + 1):
-        report = run_once(k, l, n_max)
+        report = shrinking_run(k, l, n_max)
         if report is not None:
             return report
     return None

@@ -75,6 +75,7 @@ def test_exact_and_stats_load_no_numpy_or_kernel_module(tmp_path):
         f"exact = ['exact', '--k', '2..40', '--limit', '60', '--cache-dir', {str(cache)!r}]\n"
         "assert main(exact) == 0 and main(exact) == 0\n"  # cold, then from its cache
         f"assert main(['stats', '--dataset', {str(cache / 'nk_l2.csv')!r}, '--prime-share']) == 0\n"
+        "assert goebel.prime_trace_mod_p(2, 2, 43) == 24\n"
         "heavy = ('numpy', 'goebel.sieve', 'goebel.reduced', 'goebel.billiards')\n"
         "heavy += () if preloaded else ('dataclasses',)\n"
         "print([m for m in heavy if m in sys.modules], file=sys.stderr)\n"
