@@ -138,13 +138,8 @@ def construct_a(p: int, l: int) -> SignSequence:
             raise InconsistentConstraints(f"propagation stalled at {(x, y)} for (p={p}, l={l})")
     if not all(coef[1:]):
         raise InconsistentConstraints(f"unpinned indices for (p={p}, l={l})")
-    free = coef[1]  # a(1) = coef[1] * free_sign = 1
-    values = [0] * (p - 1)
-    for n in range(1, m + 1):
-        values[n - 1] = coef[n] * free
-    for n in range(m + 1, p):
-        values[n - 1] = values[p - n - 1]
-    return SignSequence(values=tuple(values), kind="a", l=l, p=p)
+    half = [v * coef[1] for v in coef[1:]]  # a(1) = coef[1] * free_sign = 1
+    return SignSequence(values=tuple(half + half[::-1]), kind="a", l=l, p=p)
 
 
 def _b_odd(j, j0):
@@ -200,13 +195,13 @@ def empty_iff_conditions(p: int, l: int) -> tuple[bool, bool]:
 # 0.68 / 0.61 / 0.56 / 0.57 s at 512 / 1024 / 2048 / 4096 rows, with peak RSS
 # level up to 2048 rows and 0.8 MB higher at 4096; verify_range(13, 10**4)
 # took 6.6 / 5.2 / 4.7 / 4.6 s.
-WITNESS_BATCH_ROWS = 2048
+WITNESS_BATCH_ROWS = 2048  # any int >= 1
 # Rows per pmap call over the batches: the results of one such window, 8
 # bytes per row, are the most the row source holds at once.
-WITNESS_WINDOW_ROWS = 1 << 20
+WITNESS_WINDOW_ROWS = 1 << 20  # any int >= 1
 # Columns of the first block that each search tests per row; a row that the
 # block does not settle tests a block twice as wide next.
-_FIRST_COLUMNS = 8
+_FIRST_COLUMNS = 8  # any int >= 1
 
 
 def _inverses(a: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -83,19 +83,7 @@ def _check_start(p: int, l: int) -> None:
 # Steps final_value takes on Euler's criterion before it builds the residue
 # table: most walks from l = 2 end within a few steps, and the table costs
 # O(p).  8 and 16 measured level on `two-in-jp`, 32 slower.
-_EULER_STEPS = 16
-
-
-class _EulerChi(dict):
-    """x -> pow(x, (p-1)/2, p), computed on first lookup: 1 or p - 1 as chi(x) is +1 or -1."""
-
-    def __init__(self, p: int):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, x: int) -> int:
-        v = self[x] = pow(x, (self.p - 1) // 2, self.p)
-        return v
+_EULER_STEPS = 16  # any int >= 0
 
 
 def final_value(p: int, l: int) -> int:
@@ -105,18 +93,20 @@ def final_value(p: int, l: int) -> int:
     absorbed by then builds no residue table.
     """
     _check_start(p, l)
-    n = min(_EULER_STEPS + 1, p)
-    euler = _EulerChi(p)
-    g = _walk_on(p, l, (euler[m] for m in range(1, n)), euler)
-    if n < p and 0 < g < p:
+    e, g = (p - 1) // 2, l
+    for n in range(1, min(_EULER_STEPS + 1, p)):
+        if g == 0 or g == p:
+            return g
+        g += 1 if pow(n, e, p) == pow(g, e, p) else -1
+    if 0 < g < p and _EULER_STEPS + 1 < p:
         bits = qr_bits(p)
-        g = _walk_on(p, g, bits[n:], bits)
+        g = _walk_on(p, g, bits[_EULER_STEPS + 1:], bits)
     return g
 
 
-def _walk_on(p: int, g: int, steps, chi) -> int:
-    """Where the walk at g ends after the steps whose chi(n) `steps` yields
-    in order; chi[x] codes chi(x) the same way (equal codes, equal symbols)."""
+def _walk_on(p: int, g: int, steps: bytes, chi: bytes) -> int:
+    """Where the walk at g ends after the steps whose chi(n) `steps` holds
+    in order, both in qr_bits' coding."""
     for b in steps:
         if g == 0 or g == p:
             return g
@@ -163,7 +153,7 @@ def compute_jp(p: int) -> JpSummary:
 def scan_two_in_jp(p_max: int, workers: int = 1) -> list[int]:
     """Primes p = 1 mod 4 in [13, p_max] whose walk from l = 2 ends mid-board.
 
-    A single walk per prime; no binary search involved.
+    A single walk per prime.
     """
     primes = qualifying_primes(13, p_max)
     finals = pmap(partial(final_value, l=2), primes, workers)
@@ -171,14 +161,14 @@ def scan_two_in_jp(p_max: int, workers: int = 1) -> list[int]:
 
 
 # Lockstep table bytes per run of primes: 2p - 1 per prime.
-JP_BATCH_BYTES = 1 << 25
+JP_BATCH_BYTES = 1 << 25  # any int >= 1
 # A run of fewer primes walks its edges one prime at a time: a lockstep step
 # of a few lanes costs about as much as 20 scalar steps.  Runs of 20 primes
 # measured level both ways near 5*10^4; near 10^6, 12 were level and 16
 # faster in lockstep.
-_LOCKSTEP_MIN_PRIMES = 20
+_LOCKSTEP_MIN_PRIMES = 20  # any int >= 0
 # Steps whose chi(n) the lockstep gathers at once.
-_GATHER_STEPS = 256
+_GATHER_STEPS = 256  # any int >= 1
 
 
 def _chi_table(primes: list[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -81,10 +81,10 @@ def bad_residues(p: int, l: int) -> BadResidueTable:
 # Lanes per batch of the lockstep trace.  A cold `sieve --p-max 700` peaks
 # at about 31.7 MB with 2^14 lanes, 35.6 MB with 2^16 and 30.7 MB with
 # 2^13, which built the tables about 8% slower.
-_LANES = 1 << 14
+_LANES = 1 << 14  # any int >= 1
 # Steps between two retirements of the settled lanes: 16 and 32 measured
 # level, 64 slower, and retiring only at step 1 took 2.5 times as long.
-_RETIRE = 8
+_RETIRE = 8  # any int >= 1
 
 
 def _lane_tables(primes):
@@ -207,9 +207,10 @@ def _bad_tables(jobs, workers: int) -> list:
 
 
 # Survivors per block, both when sieve_range reads them off its bitmap (in
-# bits) and when text_blocks writes them out through int_lines: at most
-# 16 KB of unpacked bytes and 128 KB of indices, or about 0.5 MB of text.
-_BLOCK = 1 << 14
+# bits, rounded down to whole bytes but at least one) and when text_blocks
+# writes them out through int_lines: at most 16 KB of unpacked bytes and
+# 128 KB of indices, or about 0.5 MB of text.
+_BLOCK = 1 << 14  # any int >= 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +295,7 @@ def check_range(k_lo: int, k_hi: int, p_max: int) -> None:
 
 # Bytes per row of the periodic AND in sieve_range: about 4 KB, so that each
 # prime's pattern is ANDed in by one numpy call over few, long rows.
-_ROW_BYTES = 4096
+_ROW_BYTES = 4096  # any int >= 1
 
 
 def _and_good_classes(alive: np.ndarray, k_lo: int, m: int, bad) -> None:
@@ -333,7 +334,7 @@ def _read_offsets(alive: np.ndarray, n: int) -> np.ndarray:
         alive[-1] &= 0xFF00 >> n % 8 & 0xFF  # the last byte keeps its first n % 8 bits
     offsets = np.empty(int(np.bitwise_count(alive).sum()), dtype=np.int32)
     filled = 0
-    step = _BLOCK // 8
+    step = max(1, _BLOCK // 8)
     for start in range(0, len(alive), step):
         found = np.flatnonzero(np.unpackbits(alive[start : start + step]))
         found += 8 * start

@@ -252,11 +252,12 @@ def test_criterion_10_ratio_trend():
 
 def test_criterion_11_out_of_scale_results_documented():
     # The published full-scale results (exhaustive k <= 10^7 with its mean
-    # statistics, the k <= 10^14 sieve bound 29363, primorial-class means,
-    # and the 502-below-10^6 count as a default test) are intentionally not
-    # reproduced here; criteria 2, 9 and 10 plus the per-module invariant
-    # suites stand in at desk scale.  The default search limit still covers
-    # the largest breakdown point known from the exhaustive scan.
+    # statistics, the k <= 10^14 sieve bound 29363 and primorial-class
+    # means) are intentionally not reproduced here; criteria 2, 9 and 10
+    # plus the per-module invariant suites stand in at desk scale, and
+    # criterion 5 checks the 502-below-10^6 count.  The default search
+    # limit still covers the largest breakdown point known from the
+    # exhaustive scan.
     ok = DEFAULT_N_LIMIT >= 9011
     _report(
         11,

@@ -676,6 +676,85 @@ def test_survivor_text_has_the_bytes_of_str_in_csv_and_json(tmp_path):
         check(q * 10 ** 10 + 10 ** 10 - 10 ** 8 + 1, [0, _BLOCK, 10 ** 8 - 2, 10 ** 8 - 1])
 
 
+def test_sieve_bytes_do_not_depend_on_a_block_below_one_byte(tmp_path, monkeypatch):
+    """_BLOCK under 8 bits still reads the bitmap a byte at a time."""
+    from goebel import sieve
+
+    def outputs():
+        got = []
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"survivors.{fmt}"
+            assert run_cli("sieve", "--k-lo", "2", "--k-hi", "5000", "--p-max", "40",
+                           "--format", fmt, "-o", str(out)) == 0
+            got.append(out.read_bytes())
+        return got
+
+    want = outputs()
+    for block in (1, 7, 8, 9):
+        monkeypatch.setattr(sieve, "_BLOCK", block)
+        assert outputs() == want, block
+
+
+def _tuning_constants():
+    """(module, name, least value) of every constant that trades speed or
+    memory for the same output bytes; the least value is the one stated
+    where the constant is defined."""
+    from goebel import billiards, reduced, sieve
+
+    return [
+        (billiards, "WITNESS_BATCH_ROWS", 1), (billiards, "WITNESS_WINDOW_ROWS", 1),
+        (billiards, "_FIRST_COLUMNS", 1), (reduced, "_EULER_STEPS", 0),
+        (reduced, "JP_BATCH_BYTES", 1), (reduced, "_LOCKSTEP_MIN_PRIMES", 0),
+        (reduced, "_GATHER_STEPS", 1), (sieve, "_LANES", 1), (sieve, "_RETIRE", 1),
+        (sieve, "_BLOCK", 1), (sieve, "_ROW_BYTES", 1),
+    ]
+
+
+# every command that a tuning constant reaches, small enough to run in a
+# fraction of a second with each constant at its least value; the sieve
+# range crosses 10^12, where the low 10 digits of k carry
+_TUNED_COMMANDS = [
+    ["jp", "--p-max", "600"], ["jp", "--p-max", "600", "--format", "json"],
+    ["jp", "--classify", "1009"], ["two-in-jp", "--p-max", "5000"],
+    ["verify", "--p-max", "120"], ["verify", "--p-max", "120", "--format", "json"],
+    ["grid", "--p", "61"],
+    ["sieve", "--k-lo", str(10 ** 12 - 2000), "--k-hi", str(10 ** 12 + 2000), "--p-max", "300",
+     "--format", "json"],
+]
+
+
+def _tuned_outputs() -> list:
+    """(stdout, stderr, exit code) of each of _TUNED_COMMANDS, run in process."""
+    import contextlib
+
+    got = []
+    for argv in _TUNED_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run_cli(*argv)
+        got.append((out.getvalue(), err.getvalue(), rc))
+    return got
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_output_does_not_depend_on_the_tuning_constants(data):
+    """All tuning constants at once at values drawn from their domains, from
+    the least up to twice the default, give the bytes of the defaults."""
+    constants = _tuning_constants()
+    defaults = [getattr(module, name) for module, name, _ in constants]
+    want = _tuned_outputs()
+    drawn = [data.draw(st.integers(least, 2 * default), label=name)
+             for (_, name, least), default in zip(constants, defaults)]
+    try:
+        for (module, name, _), value in zip(constants, drawn):
+            setattr(module, name, value)
+        assert _tuned_outputs() == want
+    finally:
+        for (module, name, _), value in zip(constants, defaults):
+            setattr(module, name, value)
+
+
 def test_spot_check_samples_lazily_as_from_the_list_of_sieved_k():
     import random
     import tracemalloc
